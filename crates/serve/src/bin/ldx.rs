@@ -754,51 +754,48 @@ fn cmd_submit(args: &[String]) -> Result<bool, CliError> {
         println!("  status: GET http://{addr}/jobs/{id}");
         return Ok(true);
     }
-    // Poll with capped exponential backoff: quick jobs are picked up within
-    // tens of milliseconds, long sweeps cost the daemon one status request
-    // every two seconds instead of five per second.
     let waited = Instant::now();
-    let mut polls = 0u64;
-    let mut backoff = client::RetryPolicy {
-        attempts: 1,
-        base: Duration::from_millis(50),
-        cap: Duration::from_secs(2),
-    }
-    .backoff();
-    loop {
-        let status = client::request(&addr, "GET", &format!("/jobs/{id}"), None)?;
-        polls += 1;
-        let json = parse_response(&status)?;
-        let state = json
-            .get("state")
-            .and_then(ld_runner::json::Json::as_str)
-            .unwrap_or("unknown")
-            .to_string();
-        match state.as_str() {
-            "completed" => break,
-            "failed" | "canceled" => {
-                let message = json
-                    .get("message")
-                    .and_then(ld_runner::json::Json::as_str)
-                    .unwrap_or("no message");
-                return Err(CliError::Message(format!("job {id} {state}: {message}")));
-            }
-            _ => {
-                if let Some(delay) = backoff.next() {
-                    std::thread::sleep(delay);
-                }
-            }
-        }
-    }
-    let report = client::request(&addr, "GET", &format!("/jobs/{id}/report"), None)?;
     let out = out.unwrap_or_else(|| PathBuf::from(format!("ldx-{scenario}-job{id}.json")));
-    std::fs::write(&out, &report.body).map_err(|e| format!("writing {}: {e}", out.display()))?;
-    println!(
-        "job {id} completed in {:.2?} after {polls} status poll(s)",
-        waited.elapsed()
-    );
+    if let Err(e) = download_report(&addr, id, &out) {
+        // Only a completed job's report is kept.
+        let _ = std::fs::remove_file(&out);
+        return Err(e);
+    }
+    println!("job {id} completed in {:.2?}", waited.elapsed());
     println!("  report: {}", out.display());
     Ok(true)
+}
+
+/// Streams job `id`'s report tail into `out`, then checks the job
+/// completed.  The daemon ends the tail cleanly once the job is terminal,
+/// so one status request afterwards tells completed from failed/canceled.
+/// A queued job sends nothing until a worker claims it, so the socket
+/// waits as long as the queue ahead of it does; a stalled job's tail is
+/// dropped mid-body and fails the read.
+fn download_report(addr: &str, id: u64, out: &std::path::Path) -> Result<(), CliError> {
+    let report = format!("/jobs/{id}/report");
+    let (status, headers, reader) = client::open_stream(addr, "GET", &report, None, Duration::MAX)?;
+    if status != 200 || !client::is_chunked(&headers) {
+        return Err(CliError::Message(format!("GET {report} answered {status}")));
+    }
+    let mut file =
+        std::fs::File::create(out).map_err(|e| format!("creating {}: {e}", out.display()))?;
+    std::io::copy(&mut client::ChunkedReader::new(reader), &mut file)
+        .map_err(|e| format!("job {id}: reading {report}: {e}"))?;
+    let status = client::request(addr, "GET", &format!("/jobs/{id}"), None)?;
+    let json = parse_response(&status)?;
+    let state = json
+        .get("state")
+        .and_then(ld_runner::json::Json::as_str)
+        .unwrap_or("unknown");
+    if state != "completed" {
+        let message = json
+            .get("message")
+            .and_then(ld_runner::json::Json::as_str)
+            .unwrap_or("no message");
+        return Err(CliError::Message(format!("job {id} {state}: {message}")));
+    }
+    Ok(())
 }
 
 /// A worker daemon this process spawned for `ldx dispatch --workers N`.

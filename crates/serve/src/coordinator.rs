@@ -43,7 +43,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Condvar, Mutex};
 use std::thread;
 // ld-analyze: allow(D002, reason = "lease clocks and wall timings only; report bytes are deterministic and never read the clock")
 use std::time::{Duration, Instant};
@@ -52,9 +52,9 @@ use std::time::{Duration, Instant};
 /// results.
 const MERGE_TICK: Duration = Duration::from_millis(50);
 
-/// How long an idle coordinator-side worker thread waits before re-asking
-/// the lease table (everything was leased out, but an expiry may return
-/// work).
+/// The longest an idle coordinator-side worker thread waits before
+/// re-asking the lease table.  A release or the end of the dispatch wakes
+/// it at once; only lease expiry, which is time-based, needs the timeout.
 const IDLE_POLL: Duration = Duration::from_millis(20);
 
 /// What to dispatch and how aggressively to retry it.
@@ -124,6 +124,9 @@ struct ShardOutput {
 struct Dispatcher {
     options: DispatchOptions,
     table: Mutex<LeaseTable>,
+    /// Wakes idle worker threads parked beside `table`: notified when
+    /// shards are released back to pending and when `done` is set.
+    idle: Condvar,
     done: AtomicBool,
     origin: Instant,
     reassigned: AtomicUsize,
@@ -180,6 +183,7 @@ pub fn dispatch(options: &DispatchOptions) -> Result<(StreamSummary, DispatchSta
     let dispatcher = Dispatcher {
         options: options.clone(),
         table: Mutex::new(LeaseTable::new(shard_count, policy)),
+        idle: Condvar::new(),
         done: AtomicBool::new(false),
         origin: Instant::now(),
         reassigned: AtomicUsize::new(0),
@@ -196,8 +200,14 @@ pub fn dispatch(options: &DispatchOptions) -> Result<(StreamSummary, DispatchSta
         }
         drop(tx);
         let merged = dispatcher.merge(&rx, stream, &mut ckpt_file, shard_count);
-        // Unblock every worker thread before the scope joins them.
-        dispatcher.done.store(true, Ordering::SeqCst);
+        // Unblock every worker thread before the scope joins them.  The
+        // flag is set under the table lock idle threads check it under,
+        // so the notify cannot slip between their check and their park.
+        {
+            let _table = dispatcher.lock_table();
+            dispatcher.done.store(true, Ordering::SeqCst);
+        }
+        dispatcher.idle.notify_all();
         merged
     });
     let merged = merged?;
@@ -273,12 +283,17 @@ impl Dispatcher {
                 if table.all_done() {
                     return;
                 }
-                table.acquire(addr, self.now_ms(), self.options.batch)
+                let assignment = table.acquire(addr, self.now_ms(), self.options.batch);
+                if assignment.is_none() && !self.done.load(Ordering::SeqCst) {
+                    // Everything is leased out: park until a release or
+                    // the end of the dispatch, or until an expiry may
+                    // hand work back.  (The relocked guard is dropped
+                    // at once, poisoned or not.)
+                    let _ = self.idle.wait_timeout(table, IDLE_POLL);
+                }
+                assignment
             };
             let Some(assignment) = assignment else {
-                // Everything is leased out (or done); an expiry may hand
-                // work back.
-                thread::sleep(IDLE_POLL);
                 continue;
             };
             match self.run_batch(addr, &assignment, tx) {
@@ -288,6 +303,7 @@ impl Dispatcher {
                 }
                 Err(_message) => {
                     let released = self.lock_table().release(addr, assignment.epoch);
+                    self.idle.notify_all();
                     self.reassigned.fetch_add(released.len(), Ordering::SeqCst);
                     self.worker_failures.fetch_add(1, Ordering::SeqCst);
                     consecutive += 1;

@@ -22,10 +22,17 @@
 //!   handed to exactly one popper, and [`JobTable::transition`] moves a job
 //!   between two named states exactly once even when a cancel races a
 //!   worker's claim.
+//! * **Tails wake on every change.**  A report tail parked in
+//!   [`JobTable::wait_changed`] before a worker's `Running → Completed`
+//!   always wakes and observes the terminal state: the version check and
+//!   the park happen under the lock every transition bumps the version
+//!   under.  The model has no clock, so the park's timeout cannot mask a
+//!   lost wakeup — it would deadlock the explorer.
 
 use crate::job::{JobRecord, JobState};
 use interleave::{CondvarApi, MutexApi, StdSync, SyncFacade};
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 /// One queued entry: scheduling key plus the job id it resolves to.
 #[derive(Debug, Clone, Copy)]
@@ -152,13 +159,24 @@ fn best_index(entries: &[Entry]) -> Option<usize> {
     best
 }
 
+/// The table's mutex-protected state: the records plus a version that
+/// every insert, transition and removal bumps.
+struct Jobs {
+    records: BTreeMap<u64, JobRecord>,
+    version: u64,
+}
+
 /// The shared job-state table: id → [`JobRecord`], with exactly-once state
 /// transitions.
 ///
 /// Keys live in a `BTreeMap` so listings iterate in id (submission) order
-/// deterministically.
+/// deterministically.  Every change a report tail could be waiting for —
+/// insert, transition, removal — bumps a version counter and wakes the
+/// `changed` condvar, so a tail parked in [`JobTable::wait_changed`]
+/// wakes on a job's terminal transition.
 pub struct JobTable<S: SyncFacade = StdSync> {
-    jobs: S::Mutex<BTreeMap<u64, JobRecord>>,
+    jobs: S::Mutex<Jobs>,
+    changed: S::Condvar,
 }
 
 impl<S: SyncFacade> Default for JobTable<S> {
@@ -171,18 +189,51 @@ impl<S: SyncFacade> JobTable<S> {
     /// An empty table.
     pub fn new() -> Self {
         JobTable {
-            jobs: S::Mutex::new(BTreeMap::new()),
+            jobs: S::Mutex::new(Jobs {
+                records: BTreeMap::new(),
+                version: 0,
+            }),
+            changed: S::Condvar::new(),
         }
+    }
+
+    /// Bumps the version (the caller holds the lock) and wakes every
+    /// parked [`JobTable::wait_changed`].
+    fn publish(&self, jobs: &mut Jobs) {
+        jobs.version += 1;
+        self.changed.notify_all();
     }
 
     /// Inserts (or replaces) the record for `id`.
     pub fn insert(&self, id: u64, record: JobRecord) {
-        self.jobs.lock().insert(id, record);
+        let mut jobs = self.jobs.lock();
+        jobs.records.insert(id, record);
+        self.publish(&mut jobs);
     }
 
     /// A snapshot of the record for `id`.
     pub fn get(&self, id: u64) -> Option<JobRecord> {
-        self.jobs.lock().get(&id).cloned()
+        self.jobs.lock().records.get(&id).cloned()
+    }
+
+    /// The table version and the state of `id`, read under one lock hold.
+    /// Pass the version to [`JobTable::wait_changed`] to park until the
+    /// table moves on from this snapshot.
+    pub fn version_and_state(&self, id: u64) -> (u64, Option<JobState>) {
+        let jobs = self.jobs.lock();
+        (jobs.version, jobs.records.get(&id).map(|r| r.state))
+    }
+
+    /// Parks until the version moves past `seen` or `timeout` elapses,
+    /// whichever is first.  A spurious wakeup may return early with the
+    /// version unchanged; callers re-read the table either way.
+    pub fn wait_changed(&self, seen: u64, timeout: Duration) {
+        let jobs = self.jobs.lock();
+        // Checked under the lock every publisher bumps the version under,
+        // so a change cannot slip between this check and the park.
+        if jobs.version == seen {
+            drop(self.changed.wait_timeout(jobs, timeout));
+        }
     }
 
     /// Moves `id` from `from` to `to` — but only if it is currently in
@@ -191,9 +242,10 @@ impl<S: SyncFacade> JobTable<S> {
     /// `false` and must not act on the job.
     pub fn transition(&self, id: u64, from: JobState, to: JobState) -> bool {
         let mut jobs = self.jobs.lock();
-        match jobs.get_mut(&id) {
+        match jobs.records.get_mut(&id) {
             Some(record) if record.state == from => {
                 record.state = to;
+                self.publish(&mut jobs);
                 true
             }
             _ => false,
@@ -203,20 +255,26 @@ impl<S: SyncFacade> JobTable<S> {
     /// Records a failure message on `id` (kept across the
     /// `Running → Failed` transition).
     pub fn set_message(&self, id: u64, message: impl Into<String>) {
-        if let Some(record) = self.jobs.lock().get_mut(&id) {
+        if let Some(record) = self.jobs.lock().records.get_mut(&id) {
             record.message = Some(message.into());
         }
     }
 
     /// Removes the record for `id`.
     pub fn remove(&self, id: u64) -> Option<JobRecord> {
-        self.jobs.lock().remove(&id)
+        let mut jobs = self.jobs.lock();
+        let removed = jobs.records.remove(&id);
+        if removed.is_some() {
+            self.publish(&mut jobs);
+        }
+        removed
     }
 
     /// All records, in id order.
     pub fn snapshot(&self) -> Vec<(u64, JobRecord)> {
         self.jobs
             .lock()
+            .records
             .iter()
             .map(|(id, record)| (*id, record.clone()))
             .collect()
@@ -336,6 +394,51 @@ mod tests {
         // The park/notify state space is larger than the schedule budget, so
         // exploration is a (deterministic) prefix rather than exhaustive —
         // the floor below is the contract.
+        assert!(
+            report.schedules >= 1000,
+            "expected >=1000 schedules, explored {}",
+            report.schedules
+        );
+        assert!(
+            report.spurious_injected > 0,
+            "the explorer must have injected spurious wakeups"
+        );
+    }
+
+    /// Model: report tails parked in `wait_changed` before the worker's
+    /// `Running → Completed` always wake and observe the terminal state.
+    /// An unrelated insert wakes them once early; they must re-park on the
+    /// fresh version.  Under the model a timeout is just a wakeup, so a
+    /// lost notify would deadlock the explorer instead of hiding behind
+    /// the poll interval.
+    #[test]
+    fn model_tail_wakes_on_terminal_transition() {
+        type MMutex<T> = <ModelSync as SyncFacade>::Mutex<T>;
+        let report = interleave::model_with(Config::with_max_schedules(4000), || {
+            let table: JobTable<ModelSync> = JobTable::new();
+            table.insert(1, JobRecord::queued(JobSpec::new("section2-sweep")));
+            let seen: MMutex<Vec<JobState>> = MMutex::new(Vec::new());
+            // The report tail's loop: snapshot, stop on terminal, else park
+            // on that snapshot's version.
+            let tail = || loop {
+                let (version, state) = table.version_and_state(1);
+                if let Some(state) = state.filter(|s| s.is_terminal()) {
+                    seen.lock().push(state);
+                    return;
+                }
+                table.wait_changed(version, Duration::from_millis(5));
+            };
+            ModelSync::scope_workers(vec![tail, tail], || {
+                assert!(table.transition(1, JobState::Queued, JobState::Running));
+                table.insert(2, JobRecord::queued(JobSpec::new("section2-sweep")));
+                assert!(table.transition(1, JobState::Running, JobState::Completed));
+            });
+            assert_eq!(
+                *seen.lock(),
+                vec![JobState::Completed, JobState::Completed],
+                "both tails end on the terminal state"
+            );
+        });
         assert!(
             report.schedules >= 1000,
             "expected >=1000 schedules, explored {}",

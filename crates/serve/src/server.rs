@@ -46,14 +46,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
-// ld-analyze: allow(D002, reason = "socket/report-tail timeouts only; job execution and report bytes never read the clock")
+// ld-analyze: allow(D002, reason = "report-tail stall clock only; job execution and report bytes never read the clock")
 use std::time::Instant;
 
-/// How long `GET /jobs/<id>/report` keeps waiting without a single new
-/// report byte before giving up on a stalled job.
+/// How long `GET /jobs/<id>/report` lets a *running* job go without a
+/// single new report byte before giving up on it as stalled.  Time spent
+/// queued does not count.
 const TAIL_STALL_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Poll interval of the report tail.
+/// How often the report tail forwards a running job's new bytes.  State
+/// changes (the claim, the terminal transition) wake the tail at once.
 const TAIL_POLL: Duration = Duration::from_millis(5);
 
 /// Per-connection socket read timeout (slow peers must not pin handler
@@ -575,12 +577,61 @@ fn cancel(shared: &Shared, id: u64, writer: &mut TcpStream) {
     }
 }
 
+/// What the report tail does after one pass over the report file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TailStep {
+    /// The job may still write: park until the table changes or the next
+    /// poll, then pass again.
+    Continue,
+    /// The job was terminal before this pass read the file to EOF, so the
+    /// bytes sent are the whole report: end the body cleanly.
+    Done,
+    /// The report cannot be vouched complete (the job stalled, or its
+    /// record vanished): drop the connection without the terminating
+    /// chunk, so the client sees a truncated body rather than a short
+    /// complete one.
+    Abort,
+}
+
+/// Decides one pass of the report tail.  `state` is the job's state read
+/// *before* the pass read the report to EOF, and `progressed` whether that
+/// read found new bytes.  `stalled_since` is the stall clock: it runs only
+/// while the job is `Running` without new bytes, and is cleared otherwise.
+fn tail_step(
+    state: Option<JobState>,
+    progressed: bool,
+    stalled_since: &mut Option<Instant>,
+    now: Instant,
+) -> TailStep {
+    match state {
+        None => TailStep::Abort,
+        Some(state) if state.is_terminal() => TailStep::Done,
+        Some(JobState::Running) if !progressed => {
+            let since = *stalled_since.get_or_insert(now);
+            if now.duration_since(since) > TAIL_STALL_TIMEOUT {
+                TailStep::Abort
+            } else {
+                TailStep::Continue
+            }
+        }
+        Some(_) => {
+            *stalled_since = None;
+            TailStep::Continue
+        }
+    }
+}
+
 /// `GET /jobs/<id>/report`: chunk out the report file as it grows, until
 /// the job is terminal and fully delivered.
 ///
 /// The report file is append-only while a job runs (truncation happens
 /// only inside restart recovery, before the daemon accepts connections),
-/// so tailing a byte prefix is always consistent.
+/// so tailing a byte prefix is always consistent.  Each pass reads the
+/// job state *first*, then the file to EOF: workers flush every report
+/// byte before the terminal transition, and the table lock orders that
+/// transition before our read, so a pass that started terminal has sent
+/// the whole report.  Between passes the tail parks on the table version
+/// it read, so the terminal transition wakes it at once.
 fn stream_report(shared: &Shared, id: u64, writer: &mut TcpStream) {
     if http::write_chunked_head(writer, "application/json").is_err() {
         return;
@@ -589,9 +640,9 @@ fn stream_report(shared: &Shared, id: u64, writer: &mut TcpStream) {
     let mut file: Option<std::fs::File> = None;
     let mut buffer = vec![0u8; 64 * 1024];
     let mut chunks = ChunkedWriter::new(writer);
-    let mut last_progress = Instant::now();
+    let mut stalled_since = None;
     loop {
-        let state = shared.table.get(id).map(|r| r.state);
+        let (version, state) = shared.table.version_and_state(id);
         if file.is_none() {
             file = std::fs::File::open(&path).ok();
             if let Some(f) = &mut file {
@@ -611,24 +662,16 @@ fn stream_report(shared: &Shared, id: u64, writer: &mut TcpStream) {
                         }
                         progressed = true;
                     }
-                    Err(_) => break,
+                    // A report we cannot read is not one we can vouch for.
+                    Err(_) => return,
                 }
             }
         }
-        if progressed {
-            last_progress = Instant::now();
+        match tail_step(state, progressed, &mut stalled_since, Instant::now()) {
+            TailStep::Continue => shared.table.wait_changed(version, TAIL_POLL),
+            TailStep::Done => break,
+            TailStep::Abort => return,
         }
-        match state {
-            // Terminal and nothing new appeared in this pass: the bytes
-            // read so far are the complete (or final failed) report.
-            Some(state) if state.is_terminal() && !progressed => break,
-            None => break,
-            _ => {}
-        }
-        if last_progress.elapsed() > TAIL_STALL_TIMEOUT {
-            break;
-        }
-        thread::sleep(TAIL_POLL);
     }
     let _ = chunks.finish();
 }
@@ -677,6 +720,83 @@ mod tests {
         assert_eq!(
             json.get("report").and_then(Json::as_str),
             Some("/jobs/3/report")
+        );
+    }
+
+    #[test]
+    fn tail_waits_while_queued_without_running_the_stall_clock() {
+        let now = Instant::now();
+        let mut stalled = Some(now);
+        let later = now + TAIL_STALL_TIMEOUT * 2;
+        assert_eq!(
+            tail_step(Some(JobState::Queued), false, &mut stalled, later),
+            TailStep::Continue
+        );
+        assert_eq!(stalled, None, "queue time never counts as a stall");
+    }
+
+    #[test]
+    fn tail_continues_while_running_and_progressing() {
+        let now = Instant::now();
+        let mut stalled = Some(now);
+        let later = now + TAIL_STALL_TIMEOUT * 2;
+        assert_eq!(
+            tail_step(Some(JobState::Running), true, &mut stalled, later),
+            TailStep::Continue
+        );
+        assert_eq!(stalled, None, "new bytes reset the stall clock");
+        assert_eq!(
+            tail_step(Some(JobState::Running), false, &mut stalled, later),
+            TailStep::Continue
+        );
+        assert_eq!(stalled, Some(later), "the first idle pass starts it");
+    }
+
+    #[test]
+    fn tail_ends_cleanly_on_every_terminal_state() {
+        for state in [JobState::Completed, JobState::Failed, JobState::Canceled] {
+            for progressed in [false, true] {
+                let mut stalled = None;
+                assert_eq!(
+                    tail_step(Some(state), progressed, &mut stalled, Instant::now()),
+                    TailStep::Done,
+                    "{state:?} progressed={progressed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tail_aborts_when_the_record_is_purged() {
+        let mut stalled = None;
+        assert_eq!(
+            tail_step(None, false, &mut stalled, Instant::now()),
+            TailStep::Abort
+        );
+    }
+
+    #[test]
+    fn tail_aborts_a_running_job_idle_past_the_stall_timeout() {
+        let start = Instant::now();
+        let mut stalled = None;
+        let running = Some(JobState::Running);
+        assert_eq!(
+            tail_step(running, false, &mut stalled, start),
+            TailStep::Continue
+        );
+        assert_eq!(
+            tail_step(running, false, &mut stalled, start + TAIL_STALL_TIMEOUT),
+            TailStep::Continue,
+            "exactly at the timeout is not yet a stall"
+        );
+        assert_eq!(
+            tail_step(
+                running,
+                false,
+                &mut stalled,
+                start + TAIL_STALL_TIMEOUT + Duration::from_millis(1)
+            ),
+            TailStep::Abort
         );
     }
 
