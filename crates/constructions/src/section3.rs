@@ -22,6 +22,7 @@ use ld_local::enumeration::{collect_oblivious_views, distinct_oblivious_views};
 use ld_local::{ObliviousView, Property};
 use ld_turing::{Cell, ExecutionTable, RunOutcome, Symbol, TuringMachine};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The node label of `G(M, r)`: every node is a cell of some table or
 /// fragment, carrying the machine, the locality parameter, the
@@ -30,10 +31,15 @@ use serde::{Deserialize, Serialize};
 /// Deliberately, the label does **not** say whether the node belongs to the
 /// real execution table or to a fragment — that is the whole point of the
 /// obfuscation.
+///
+/// Every label of one instance points at the same machine, so cloning a
+/// label (as every view extraction does) is a refcount bump.  `Arc`'s
+/// `Eq`, `Hash` and `Debug` delegate to the machine, so labels compare,
+/// hash and print exactly as if each held its own copy.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Section3Label {
     /// The machine `M` whose execution is embedded (shared by every node).
-    pub machine: TuringMachine,
+    pub machine: Arc<TuringMachine>,
     /// The locality parameter `r` (shared by every node).
     pub r: u32,
     /// Column coordinate modulo 3 (supplies the local orientation).
@@ -101,7 +107,7 @@ pub fn build_gmr(
     let table = ExecutionTable::of_halting(machine, fuel)
         .map_err(|_| ConstructionError::MachineDidNotHalt { fuel })?;
     let fragments = FragmentCollection::build(machine, r, source)?;
-    assemble(machine, r, &table, &fragments, true)
+    assemble(machine, r, &table, &fragments)
 }
 
 /// Assembles the glued graph from an arbitrary table prefix and fragment
@@ -112,8 +118,8 @@ fn assemble(
     r: u32,
     table: &ExecutionTable,
     fragments: &FragmentCollection,
-    exact: bool,
 ) -> Result<GmrInstance> {
+    let shared = Arc::new(machine.clone());
     let side = table.height();
     let width = table.width();
     let mut graph = generators::grid(width, side);
@@ -121,7 +127,7 @@ fn assemble(
     for y in 0..side {
         for x in 0..width {
             labels.push(Section3Label {
-                machine: machine.clone(),
+                machine: Arc::clone(&shared),
                 r,
                 x_mod3: (x % 3) as u8,
                 y_mod3: (y % 3) as u8,
@@ -137,13 +143,11 @@ fn assemble(
         for border_choice in border_variants(machine, fragment) {
             fragment_count += 1;
             let fside = fragment.height();
-            let offset = graph.node_count();
-            let (merged, _) = graph.disjoint_union(&generators::grid(fragment.width(), fside));
-            graph = merged;
+            let offset = graph.append(&generators::grid(fragment.width(), fside));
             for y in 0..fside {
                 for x in 0..fragment.width() {
                     labels.push(Section3Label {
-                        machine: machine.clone(),
+                        machine: Arc::clone(&shared),
                         r,
                         x_mod3: (x % 3) as u8,
                         y_mod3: (y % 3) as u8,
@@ -158,7 +162,6 @@ fn assemble(
         }
     }
     let labeled = LabeledGraph::new(graph, labels)?;
-    let _ = exact;
     Ok(GmrInstance {
         labeled,
         pivot,
@@ -304,7 +307,7 @@ pub fn neighborhood_generator(
     let extent = (4 * 3 * r as usize).max(4);
     let table = ExecutionTable::truncated(machine, extent, extent);
     let fragments = FragmentCollection::build(machine, r, source)?;
-    let instance = assemble(machine, r, &table, &fragments, false)?;
+    let instance = assemble(machine, r, &table, &fragments)?;
     let bottom_row_start = (extent - 1) * extent;
     let bottom_row: Vec<NodeId> = (bottom_row_start..extent * extent)
         .map(NodeId::from)
@@ -470,6 +473,74 @@ mod tests {
                 assert_eq!(labeled.label(node).cell, table.cell(y, x).unwrap());
             }
         }
+    }
+
+    /// The assembly `build_gmr` used before in-place appends and shared
+    /// machines: one `disjoint_union` per fragment variant, one machine copy
+    /// per label.  Kept here only as the differential reference.
+    fn assemble_by_union(
+        machine: &TuringMachine,
+        r: u32,
+        table: &ExecutionTable,
+        fragments: &FragmentCollection,
+    ) -> LabeledGraph<Section3Label> {
+        let label = |x: usize, y: usize, cell: Cell| Section3Label {
+            machine: Arc::new(machine.clone()),
+            r,
+            x_mod3: (x % 3) as u8,
+            y_mod3: (y % 3) as u8,
+            cell,
+        };
+        let (side, width) = (table.height(), table.width());
+        let mut graph = generators::grid(width, side);
+        let mut labels = Vec::new();
+        for y in 0..side {
+            for x in 0..width {
+                labels.push(label(x, y, table.cell(y, x).unwrap()));
+            }
+        }
+        let pivot = generators::grid_index(width, 0, 0);
+        for fragment in fragments.fragments() {
+            for border_choice in border_variants(machine, fragment) {
+                let (fwidth, fside) = (fragment.width(), fragment.height());
+                let (merged, offset) = graph.disjoint_union(&generators::grid(fwidth, fside));
+                graph = merged;
+                for y in 0..fside {
+                    for x in 0..fwidth {
+                        labels.push(label(x, y, fragment.cell(y, x).unwrap()));
+                    }
+                }
+                for (x, y) in border_choice.non_natural_nodes(fwidth, fside) {
+                    let node = NodeId::from(offset + y * fwidth + x);
+                    graph.add_edge_idempotent(node, pivot).unwrap();
+                }
+            }
+        }
+        LabeledGraph::new(graph, labels).unwrap()
+    }
+
+    #[test]
+    fn build_gmr_matches_the_fold_by_disjoint_union_assembly() {
+        let source = FragmentSource::WindowsAndDecoys;
+        let machines = zoo::output_zero_zoo()
+            .into_iter()
+            .chain(zoo::output_one_zoo())
+            .filter(|spec| spec.truth.steps().is_some_and(|steps| steps <= 128));
+        let mut checked = 0;
+        for spec in machines {
+            let instance = build_gmr(&spec.machine, 1, 10_000, source).unwrap();
+            let table = ExecutionTable::of_halting(&spec.machine, 10_000).unwrap();
+            let fragments = FragmentCollection::build(&spec.machine, 1, source).unwrap();
+            let reference = assemble_by_union(&spec.machine, 1, &table, &fragments);
+            assert_eq!(
+                instance.labeled(),
+                &reference,
+                "{}: graph or labels differ",
+                spec.machine.name()
+            );
+            checked += 1;
+        }
+        assert!(checked >= 10, "only {checked} zoo machines checked");
     }
 
     #[test]

@@ -327,7 +327,7 @@ mod tests {
         let decider = TwoStageIdDecider::new(10_000);
         let instance = build_gmr(&spec_a.machine, 1, 100, SOURCE).unwrap();
         let mut corrupted = instance.into_labeled();
-        corrupted.label_mut(NodeId(0)).machine = spec_b.machine.clone();
+        corrupted.label_mut(NodeId(0)).machine = std::sync::Arc::new(spec_b.machine.clone());
         let n = corrupted.node_count();
         let input = Input::new(corrupted, IdAssignment::consecutive(n)).unwrap();
         assert!(!decision::run_local(&input, &decider).accepted());

@@ -290,15 +290,24 @@ impl Graph {
     /// Returns the disjoint union of `self` and `other`, together with the
     /// offset at which `other`'s nodes start in the result.
     pub fn disjoint_union(&self, other: &Graph) -> (Graph, usize) {
-        let offset = self.node_count();
         let mut g = self.clone();
-        g.adjacency.extend(other.adjacency.iter().map(|list| {
+        let offset = g.append(other);
+        (g, offset)
+    }
+
+    /// Appends a disjoint copy of `other` in place and returns the offset at
+    /// which its nodes start.  Gluing `k` pieces this way costs their total
+    /// size, where folding [`Graph::disjoint_union`] would re-copy the
+    /// growing graph `k` times.
+    pub fn append(&mut self, other: &Graph) -> usize {
+        let offset = self.node_count();
+        self.adjacency.extend(other.adjacency.iter().map(|list| {
             list.iter()
                 .map(|v| NodeId::from(v.index() + offset))
                 .collect::<Vec<_>>()
         }));
-        g.edge_count += other.edge_count;
-        (g, offset)
+        self.edge_count += other.edge_count;
+        offset
     }
 
     /// Degree sequence in non-increasing order (useful as a cheap isomorphism
@@ -503,6 +512,21 @@ mod tests {
         assert_eq!(u.edge_count(), 4);
         assert!(u.has_edge(NodeId(3), NodeId(4)));
         assert!(!u.has_edge(NodeId(2), NodeId(3)));
+    }
+
+    #[test]
+    fn append_in_place_matches_disjoint_union() {
+        let h = Graph::from_edges(2, [(0, 1)]).unwrap();
+        let mut g = triangle();
+        assert_eq!(g.append(&h), 3);
+        assert_eq!(g.append(&triangle()), 5);
+        let (u, _) = triangle().disjoint_union(&h);
+        let (u, offset) = u.disjoint_union(&triangle());
+        assert_eq!(offset, 5);
+        assert_eq!(g.node_count(), 8);
+        assert_eq!(g.edge_count(), 7);
+        assert_eq!(g, u, "adjacency lists and edge count must match");
+        assert!(g.has_edge(NodeId(5), NodeId(7)));
     }
 
     #[test]

@@ -109,7 +109,10 @@ pub fn run_oblivious<L: Clone, A: ObliviousAlgorithm<L> + ?Sized>(
 /// entries are verified by exact view equality before reuse, but the
 /// verdict memo is keyed per algorithm *name* (see [`ViewCache::verdict`]).
 /// The payoff is in sweeps, where thousands of inputs of the same family
-/// expose the same handful of view classes over and over.
+/// expose the same handful of view classes over and over, and only when
+/// the algorithm costs more than a lookup: on `G(M, r)` with cheap
+/// candidates the lookup costs about 5× the verdict it saves (measured
+/// on [`ViewCache::verdict`]), so `section3-sweep` calls [`run_oblivious`].
 pub fn run_oblivious_cached<L, A>(input: &Input<L>, algorithm: &A, cache: &ViewCache<L>) -> Decision
 where
     L: Clone + Eq + Hash + Send + Sync,

@@ -127,14 +127,16 @@ fn usage() -> String {
     let mut out = String::from(
         "usage:\n  ldx list [--json]\n  ldx run <scenario> | --file <scenario.json>\n                     [--max-n N] [--threads T] [--seed S] [--radius R]\n                     [--node-budget N] [--view-budget N] [--shard-size N]\n                     [--out FILE.json] [--csv FILE.csv] [--no-bench-json]\n                     [--deterministic] [--max-shards N]\n  ldx resume <report.json> [--file <scenario.json>] [--threads T]\n             [--no-bench-json] [--max-shards N]\n  ldx diff <a.json> <b.json>\n  ldx analyze [--deny-all] [--json] [--root DIR]\n  ldx serve [--addr HOST:PORT] [--spool DIR] [--workers N]\n  ldx submit <scenario> | --file <scenario.json>\n             [--addr HOST:PORT] [--priority P] [--wait] [--out FILE]\n             [config flags as for run]\n  ldx dispatch <scenario> [--workers N | --worker HOST:PORT ...] [--out FILE]\n               [--lease-ms MS] [--batch N] [--max-attempts N]\n               [--no-bench-json] [config flags as for run]\n  ldx shutdown [--addr HOST:PORT]\n\nscenario documents (--file) follow docs/DSL.md, schema ld-runner/scenario/v1\n\nscenarios:\n",
     );
-    for scenario in scenarios::all() {
-        out.push_str(&format!(
-            "  {:<20} {}\n",
-            scenario.name(),
-            scenario.description()
-        ));
-    }
+    out.push_str(&scenario_lines());
     out
+}
+
+/// One `  <name> <description>` line per built-in scenario.
+fn scenario_lines() -> String {
+    scenarios::all()
+        .iter()
+        .map(|scenario| format!("  {:<20} {}\n", scenario.name(), scenario.description()))
+        .collect()
 }
 
 struct RunArgs {
@@ -1026,7 +1028,7 @@ fn cmd_shutdown(args: &[String]) -> Result<bool, CliError> {
 /// `ldx list [--json]`.
 fn cmd_list(args: &[String]) -> Result<bool, CliError> {
     match args {
-        [] => print!("{}", usage()),
+        [] => print!("{}", scenario_lines()),
         [flag] if flag == "--json" => print!("{}", scenarios::listing_json().render()),
         _ => return Err(CliError::Usage("list: only --json is accepted".to_string())),
     }
@@ -1045,6 +1047,10 @@ fn main() -> ExitCode {
         Some("submit") => cmd_submit(&args[1..]),
         Some("dispatch") => cmd_dispatch(&args[1..]),
         Some("shutdown") => cmd_shutdown(&args[1..]),
+        Some("--help" | "-h" | "help") => {
+            print!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
         _ => {
             eprint!("{}", usage());
             return ExitCode::from(64);

@@ -168,6 +168,53 @@ fn run_requires_a_scenario_name_xor_a_file() {
     assert_eq!(both.status.code(), Some(64));
 }
 
+#[test]
+fn help_prints_the_usage_to_stdout_and_exits_0() {
+    for flag in ["--help", "-h", "help"] {
+        let output = ldx().arg(flag).output().expect("spawn ldx");
+        assert_eq!(output.status.code(), Some(0), "ldx {flag}");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.starts_with("usage:\n"), "ldx {flag}: {stdout}");
+        assert!(stdout.contains("  section3-sweep "), "ldx {flag}: {stdout}");
+        assert!(output.stderr.is_empty(), "ldx {flag} wrote to stderr");
+    }
+}
+
+#[test]
+fn unknown_or_missing_subcommands_print_the_usage_to_stderr_and_exit_64() {
+    for args in [&["frobnicate"][..], &["--halp"], &[]] {
+        let output = ldx().args(args).output().expect("spawn ldx");
+        assert_eq!(output.status.code(), Some(64), "ldx {args:?}");
+        assert!(output.stdout.is_empty(), "ldx {args:?} wrote to stdout");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.starts_with("usage:\n"), "ldx {args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn list_prints_only_the_scenario_lines() {
+    let output = ldx().arg("list").output().expect("spawn ldx");
+    assert_eq!(output.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let names: Vec<&str> = stdout
+        .lines()
+        .map(|line| line.split_whitespace().next().unwrap_or(""))
+        .collect();
+    let expected: Vec<String> = ld_runner::scenarios::all()
+        .iter()
+        .map(|s| s.name().to_string())
+        .collect();
+    assert_eq!(names, expected, "ldx list: {stdout}");
+    assert!(!stdout.contains("usage:"), "ldx list: {stdout}");
+
+    let json = ldx().args(["list", "--json"]).output().expect("spawn ldx");
+    assert_eq!(json.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8_lossy(&json.stdout),
+        ld_runner::scenarios::listing_json().render()
+    );
+}
+
 /// `POST /jobs` with an embedded scenario document: accepted, executed,
 /// and the delivered report byte-matches a local run of the same
 /// document; defective documents are rejected with the DSL token and

@@ -133,3 +133,34 @@ fn full_streamed_reports_carry_an_equivalent_deterministic_core() {
     assert_eq!(streamed, reference);
     cleanup(&path);
 }
+
+/// `tests/fixtures/section3-sweep-128.json` is the committed output of
+/// `ldx run section3-sweep --max-n 128 --deterministic`.  The streamed
+/// report must reproduce it byte for byte at every thread count, so any
+/// change to how `G(M, r)` is built or decided that moves a verdict, a
+/// metric or a seed fails here.
+#[test]
+fn section3_sweep_matches_the_committed_fixture() {
+    let fixture = std::fs::read_to_string(format!(
+        "{}/fixtures/section3-sweep-128.json",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .unwrap();
+    let scenario = scenarios::find("section3-sweep").unwrap();
+    for threads in [1, 2] {
+        let config = SweepConfig {
+            max_n: 128,
+            threads,
+            ..SweepConfig::default()
+        };
+        let path = temp_path(&format!("section3-fixture-t{threads}"));
+        let summary = stream::run(scenario.as_ref(), &config, &path, &DETERMINISTIC).unwrap();
+        assert!(summary.completed);
+        let streamed = std::fs::read_to_string(&path).unwrap();
+        cleanup(&path);
+        assert_eq!(
+            streamed, fixture,
+            "section3-sweep at {threads} threads diverges from the committed fixture"
+        );
+    }
+}
