@@ -419,9 +419,9 @@ impl BallExtractor {
         }
     }
 
-    /// A compact **exact fingerprint** of `B(center, radius)` — computed
-    /// from the BFS scratch alone, without materialising the [`Ball`] (no
-    /// induced subgraph, no mapping/distance vectors).
+    /// Writes a compact **exact fingerprint** of `B(center, radius)` into
+    /// `key` — computed from the BFS scratch alone, without materialising
+    /// the [`Ball`] (no induced subgraph, no mapping/distance vectors).
     ///
     /// Two (graph, centre, radius, labelling) combinations produce equal
     /// keys iff the extracted balls would be equal as values (same
@@ -432,6 +432,13 @@ impl BallExtractor {
     /// caveat).  Dedup pipelines use this to skip ball construction for
     /// already-seen layouts.
     ///
+    /// The caller owns `key`: it is cleared and refilled, so one buffer
+    /// serves every centre of a sweep.  Probe a seen-set with
+    /// `key.as_slice()` and clone the key only when the layout is new.
+    /// `label_word` is called once per ball member, so callers fingerprinting
+    /// many balls of one graph should hash each label once up front and
+    /// look the word up here.
+    ///
     /// # Errors
     ///
     /// Returns an error if `center` is out of range.
@@ -440,16 +447,18 @@ impl BallExtractor {
         graph: &Graph,
         center: NodeId,
         radius: usize,
+        key: &mut Vec<u64>,
         label_word: impl FnMut(NodeId) -> u64,
-    ) -> Result<Vec<u64>> {
+    ) -> Result<()> {
         self.bounded_bfs(graph, center, radius)?;
-        Ok(self.current_exact_key(graph, label_word))
+        self.current_exact_key(graph, key, label_word);
+        Ok(())
     }
 
     /// Budget-aware [`BallExtractor::exact_key`]: fingerprints
-    /// `B(center, radius)` only if it has at most `max_nodes` nodes, and
-    /// returns `None` the moment the bounded BFS would admit node
-    /// `max_nodes + 1` — the dedup analogue of
+    /// `B(center, radius)` into `key` only if it has at most `max_nodes`
+    /// nodes, and returns `false` — leaving `key` empty — the moment the
+    /// bounded BFS would admit node `max_nodes + 1`: the dedup analogue of
     /// [`BallExtractor::extract_within`].
     ///
     /// # Errors
@@ -461,19 +470,23 @@ impl BallExtractor {
         center: NodeId,
         radius: usize,
         max_nodes: usize,
+        key: &mut Vec<u64>,
         label_word: impl FnMut(NodeId) -> u64,
-    ) -> Result<Option<Vec<u64>>> {
+    ) -> Result<bool> {
+        key.clear();
         self.begin_bfs(graph, center)?;
         if !self.advance_bfs(graph, center, radius, max_nodes) {
-            return Ok(None);
+            return Ok(false);
         }
-        Ok(Some(self.current_exact_key(graph, label_word)))
+        self.current_exact_key(graph, key, label_word);
+        Ok(true)
     }
 
-    /// The exact fingerprint (see [`BallExtractor::exact_key`]) of the BFS
-    /// currently in the scratch buffers, without re-running it.  Combined
-    /// with [`BallExtractor::extend_current`] this fingerprints one centre
-    /// at several radii for the cost of a single BFS.  `graph` must be the
+    /// Writes the exact fingerprint (see [`BallExtractor::exact_key`]) of
+    /// the BFS currently in the scratch buffers into the caller-owned `key`,
+    /// without re-running it.  Combined with
+    /// [`BallExtractor::extend_current`] this fingerprints one centre at
+    /// several radii for the cost of a single BFS.  `graph` must be the
     /// graph of the last extraction.
     ///
     /// # Panics
@@ -483,19 +496,18 @@ impl BallExtractor {
     pub fn current_exact_key(
         &self,
         graph: &Graph,
+        key: &mut Vec<u64>,
         mut label_word: impl FnMut(NodeId) -> u64,
-    ) -> Vec<u64> {
+    ) {
         let (center, radius) = self
             .current
             .expect("current_exact_key requires a prior complete extraction");
         let n = self.members.len();
-        let mut key = Vec::with_capacity(2 * n + 3);
+        key.clear();
         key.push(n as u64);
         key.push(radius as u64);
         key.push(u64::from(self.position[center.index()]));
-        for &orig in &self.members {
-            key.push(label_word(orig));
-        }
+        key.extend(self.members.iter().map(|&orig| label_word(orig)));
         for (new_u, &orig_u) in self.members.iter().enumerate() {
             let from = key.len();
             for orig_v in graph.neighbors(orig_u) {
@@ -509,7 +521,6 @@ impl BallExtractor {
             // produce equal keys.
             key[from..].sort_unstable();
         }
-        key
     }
 }
 
@@ -633,42 +644,75 @@ mod tests {
         assert!(extractor.extract(&small, NodeId(9), 1).is_err());
     }
 
+    /// Label word for the key tests: node parity, so distinct centres
+    /// often share a layout and the "equal keys iff equal balls" check has
+    /// both outcomes to test.
+    fn parity(u: NodeId) -> u64 {
+        u.index() as u64 % 2
+    }
+
+    /// The key a brand-new extractor (and a brand-new buffer) produces.
+    fn fresh_key(g: &Graph, v: NodeId, radius: usize) -> Vec<u64> {
+        let mut key = Vec::new();
+        BallExtractor::new()
+            .exact_key(g, v, radius, &mut key, parity)
+            .unwrap();
+        key
+    }
+
+    /// Asserts that `key` equals a key in `seen` exactly when `ball` equals
+    /// that key's ball as a value (same ball-local graph, centre, radius
+    /// and labels), then records the pair.
+    fn check_against_seen(seen: &mut Vec<(Vec<u64>, Ball)>, key: &[u64], ball: Ball) {
+        let labels = |b: &Ball| b.mapping().iter().map(|&u| parity(u)).collect::<Vec<_>>();
+        for (other_key, other_ball) in seen.iter() {
+            let value_equal = ball.graph() == other_ball.graph()
+                && ball.center() == other_ball.center()
+                && ball.radius() == other_ball.radius()
+                && labels(&ball) == labels(other_ball);
+            assert_eq!(
+                key == other_key.as_slice(),
+                value_equal,
+                "{ball:?} vs {other_ball:?}"
+            );
+        }
+        seen.push((key.to_vec(), ball));
+    }
+
+    /// Runs a budgeted fingerprint that exhausts part-way through its BFS,
+    /// through the shared extractor and buffer, so the next extraction has
+    /// to reset a half-touched scratch.
+    fn exhaust(extractor: &mut BallExtractor, g: &Graph, v: NodeId, key: &mut Vec<u64>) {
+        let center = NodeId::from((v.index() + 1) % g.node_count());
+        assert!(!extractor
+            .exact_key_within(g, center, 3, 3, key, parity)
+            .unwrap());
+        assert!(key.is_empty(), "an exhausted fingerprint leaves no key");
+    }
+
     #[test]
     fn exact_key_agrees_with_ball_value_equality() {
-        // Keys must be equal exactly when the extracted balls are equal as
-        // values (same ball-local graph, centre, radius) with equal labels.
-        let graphs = [generators::grid(5, 5), generators::cycle(9)];
+        // One extractor and one key buffer across graphs that grow and
+        // shrink, radii 0..=3, with an exhausted fingerprint before every
+        // extraction: each key must match a fresh extractor's, and keys must
+        // be equal exactly when the balls are equal as values.
+        let graphs = [
+            generators::grid(5, 5),
+            generators::cycle(9),
+            generators::path(5),
+            generators::grid(6, 6),
+            generators::star(4),
+        ];
         let mut extractor = BallExtractor::new();
+        let mut key = Vec::new();
+        let mut seen: Vec<(Vec<u64>, Ball)> = Vec::new();
         for g in &graphs {
-            let mut seen: Vec<(Vec<u64>, Ball)> = Vec::new();
             for v in g.nodes() {
-                for radius in 0..3 {
-                    let key = extractor
-                        .exact_key(g, v, radius, |u| u.index() as u64 % 2)
-                        .unwrap();
-                    let ball = g.ball(v, radius);
-                    let labels: Vec<u64> = ball
-                        .mapping()
-                        .iter()
-                        .map(|u| u.index() as u64 % 2)
-                        .collect();
-                    for (other_key, other_ball) in &seen {
-                        let other_labels: Vec<u64> = other_ball
-                            .mapping()
-                            .iter()
-                            .map(|u| u.index() as u64 % 2)
-                            .collect();
-                        let value_equal = ball.graph() == other_ball.graph()
-                            && ball.center() == other_ball.center()
-                            && ball.radius() == other_ball.radius()
-                            && labels == other_labels;
-                        if value_equal {
-                            assert_eq!(&key, other_key);
-                        } else {
-                            assert_ne!(&key, other_key);
-                        }
-                    }
-                    seen.push((key, ball));
+                for radius in 0..=3 {
+                    exhaust(&mut extractor, g, v, &mut key);
+                    extractor.exact_key(g, v, radius, &mut key, parity).unwrap();
+                    assert_eq!(key, fresh_key(g, v, radius), "{g:?}, {v}, radius {radius}");
+                    check_against_seen(&mut seen, &key, g.ball(v, radius));
                 }
             }
         }
@@ -679,7 +723,10 @@ mod tests {
         let g = generators::grid(4, 4);
         let mut extractor = BallExtractor::new();
         for v in g.nodes() {
-            let _key = extractor.exact_key(&g, v, 2, |u| u.index() as u64).unwrap();
+            let mut key = Vec::new();
+            extractor
+                .exact_key(&g, v, 2, &mut key, |u| u.index() as u64)
+                .unwrap();
             let from_scratch = extractor.materialize_current(&g);
             let reference = g.ball(v, 2);
             assert_eq!(from_scratch, reference);
@@ -699,7 +746,9 @@ mod tests {
         let g = generators::cycle(4);
         let mut extractor = BallExtractor::new();
         extractor.extract(&g, NodeId(0), 1).unwrap();
-        assert!(extractor.exact_key(&g, NodeId(9), 1, |_| 0).is_err());
+        assert!(extractor
+            .exact_key(&g, NodeId(9), 1, &mut Vec::new(), |_| 0)
+            .is_err());
         // The previous ball must not be claimable for the failed call.
         extractor.materialize_current(&g);
     }
@@ -715,20 +764,22 @@ mod tests {
         ];
         let mut incremental = BallExtractor::new();
         let mut fresh = BallExtractor::new();
+        let mut key = Vec::new();
+        let mut seen: Vec<(Vec<u64>, Ball)> = Vec::new();
         for g in &graphs {
             for v in g.nodes() {
+                exhaust(&mut incremental, g, v, &mut key);
                 incremental.extract(g, v, 0).unwrap();
-                for radius in 0..4 {
+                for radius in 0..=3 {
                     if radius > 0 {
                         incremental.extend_current(g, radius);
                     }
                     let extended = incremental.materialize_current(g);
                     let reference = fresh.extract(g, v, radius).unwrap();
                     assert_eq!(extended, reference, "graph {g:?}, v {v}, radius {radius}");
-                    assert_eq!(
-                        incremental.current_exact_key(g, |u| u.index() as u64),
-                        fresh.current_exact_key(g, |u| u.index() as u64),
-                    );
+                    incremental.current_exact_key(g, &mut key, parity);
+                    assert_eq!(key, fresh_key(g, v, radius), "{g:?}, {v}, radius {radius}");
+                    check_against_seen(&mut seen, &key, extended);
                 }
             }
         }
@@ -759,11 +810,13 @@ mod tests {
         let mut a = BallExtractor::new();
         let mut b = BallExtractor::new();
         for v in g.nodes() {
-            let unbudgeted = a.exact_key(&g, v, 2, |u| u.index() as u64).unwrap();
-            let budgeted = b
-                .exact_key_within(&g, v, 2, usize::MAX, |u| u.index() as u64)
+            let (mut unbudgeted, mut budgeted) = (Vec::new(), Vec::new());
+            a.exact_key(&g, v, 2, &mut unbudgeted, |u| u.index() as u64)
                 .unwrap();
-            assert_eq!(budgeted.as_ref(), Some(&unbudgeted));
+            assert!(b
+                .exact_key_within(&g, v, 2, usize::MAX, &mut budgeted, |u| u.index() as u64)
+                .unwrap());
+            assert_eq!(budgeted, unbudgeted);
             assert_eq!(b.current_node_count(), unbudgeted[0] as usize);
         }
     }

@@ -18,23 +18,37 @@ use rand::Rng;
 
 /// Path on `n` nodes `0 - 1 - ... - n-1`.  `path(0)` is the empty graph.
 pub fn path(n: usize) -> Graph {
-    let mut g = Graph::with_nodes(n);
-    for i in 1..n {
-        g.add_edge(NodeId::from(i - 1), NodeId::from(i))
-            .expect("path edges are simple and in range");
-    }
-    g
+    ring(n, false)
 }
 
 /// Cycle on `n >= 3` nodes; for `n <= 2` this falls back to a path, which
 /// keeps small-parameter sweeps total.
 pub fn cycle(n: usize) -> Graph {
-    let mut g = path(n);
-    if n >= 3 {
-        g.add_edge(NodeId::from(n - 1), NodeId(0))
-            .expect("closing edge of a cycle is simple");
-    }
-    g
+    ring(n, n >= 3)
+}
+
+/// The `n`-path, closed by the edge `{n-1, 0}` when `closed`, built in one
+/// pass: every adjacency list is written already sorted.
+fn ring(n: usize, closed: bool) -> Graph {
+    let adjacency = (0..n)
+        .map(|i| {
+            let mut list = Vec::with_capacity(2);
+            if closed && i == n - 1 {
+                list.push(NodeId(0));
+            }
+            if i > 0 {
+                list.push(NodeId::from(i - 1));
+            }
+            if i + 1 < n {
+                list.push(NodeId::from(i + 1));
+            }
+            if closed && i == 0 {
+                list.push(NodeId::from(n - 1));
+            }
+            list
+        })
+        .collect();
+    Graph::from_sorted_adjacency(adjacency)
 }
 
 /// Complete graph on `n` nodes.
@@ -441,6 +455,37 @@ mod tests {
         // Degenerate sizes fall back to paths.
         assert_eq!(cycle(2).edge_count(), 1);
         assert_eq!(cycle(1).edge_count(), 0);
+    }
+
+    #[test]
+    fn paths_and_cycles_match_an_add_edge_reference() {
+        for n in 0..=64usize {
+            let mut reference_path = Graph::with_nodes(n);
+            for i in 1..n {
+                reference_path
+                    .add_edge(NodeId::from(i - 1), NodeId::from(i))
+                    .unwrap();
+            }
+            let mut reference_cycle = reference_path.clone();
+            if n >= 3 {
+                reference_cycle
+                    .add_edge(NodeId::from(n - 1), NodeId(0))
+                    .unwrap();
+            }
+            for (built, reference) in [(path(n), reference_path), (cycle(n), reference_cycle)] {
+                assert_eq!(built, reference, "n = {n}");
+                assert_eq!(built.edge_count(), reference.edge_count(), "n = {n}");
+                for u in reference.nodes() {
+                    assert!(
+                        built.neighbors(u).eq(reference.neighbors(u)),
+                        "n = {n}, {u}"
+                    );
+                    for v in reference.nodes() {
+                        assert_eq!(built.has_edge(u, v), reference.has_edge(u, v));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

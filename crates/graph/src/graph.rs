@@ -96,6 +96,28 @@ impl Graph {
         }
     }
 
+    /// Wraps adjacency lists that already hold the invariants
+    /// [`Graph::add_edge`] maintains — each list strictly increasing, in
+    /// range and loop-free, and `v ∈ adj[u]` exactly when `u ∈ adj[v]` — so
+    /// generators of regular families skip its per-edge checks and sorted
+    /// inserts.  The edge count is half the degree sum.
+    pub(crate) fn from_sorted_adjacency(adjacency: Vec<Vec<NodeId>>) -> Self {
+        debug_assert!(adjacency.iter().enumerate().all(|(u, list)| {
+            list.windows(2).all(|w| w[0] < w[1])
+                && list.iter().all(|v| {
+                    v.index() != u
+                        && adjacency
+                            .get(v.index())
+                            .is_some_and(|back| back.binary_search(&NodeId::from(u)).is_ok())
+                })
+        }));
+        let degree_sum: usize = adjacency.iter().map(Vec::len).sum();
+        Graph {
+            adjacency,
+            edge_count: degree_sum / 2,
+        }
+    }
+
     /// Builds a graph with `n` nodes from an edge list.
     ///
     /// # Errors

@@ -13,6 +13,14 @@
 //! family are usually *exactly* equal as values, so an exact-equality prepass
 //! collapses most of the input before any canonicalisation runs at all.
 //!
+//! That prepass is allocation-free per centre.  Each enumeration hashes
+//! every node's label once into a word table (not once per ball the node
+//! appears in), fingerprints each ball into one reused key buffer
+//! ([`BallExtractor::exact_key_within`] writes into a caller-owned
+//! `Vec<u64>`), probes the seen-set with `key.as_slice()`, and clones the
+//! key only for a layout it has not seen — a handful per graph in the
+//! self-similar sweeps, against one probe per centre.
+//!
 //! The seed pipeline — bucket by the Weisfeiler–Leman `canonical_key`, then
 //! confirm by backtracking isomorphism — is retained as
 //! [`distinct_oblivious_views_pairwise`], the differential-test oracle for
@@ -26,12 +34,12 @@
 //! radius to radius instead of re-running it.
 
 use crate::cache::ViewCache;
-use crate::hashing::{FxHashMap, FxHashSet};
+use crate::hashing::{FxBuildHasher, FxHashMap, FxHashSet};
 use crate::input::Input;
 use crate::view::{ObliviousView, View};
 use ld_graph::canon::CanonicalCode;
 use ld_graph::{BallExtractor, CanonScratch, LabeledGraph};
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
 /// A work budget for view enumeration: caps on the total number of ball
@@ -208,7 +216,7 @@ pub fn distinct_oblivious_views<L: Clone + Eq + Hash>(
 ///
 /// Equivalent to `distinct_oblivious_views(collect_oblivious_views(..))`
 /// but cheaper: each node's ball is first fingerprinted in place via
-/// [`BallExtractor::exact_key`], so the view (graph, labels, distances) is
+/// [`BallExtractor::exact_key_within`], so the view (graph, labels, distances) is
 /// only materialised for the first node of each exact ball layout —
 /// self-similar families collapse before any allocation happens.
 pub fn distinct_oblivious_views_of<L: Clone + Eq + Hash>(
@@ -220,14 +228,16 @@ pub fn distinct_oblivious_views_of<L: Clone + Eq + Hash>(
     })
 }
 
-/// 64-bit hash of a node's label, the `label_word` every exact-key
-/// fingerprint in this module uses.
-fn label_hash<L: Hash>(labeled: &LabeledGraph<L>, v: ld_graph::NodeId) -> u64 {
-    use crate::hashing::FxHasher;
-    use std::hash::Hasher;
-    let mut hasher = FxHasher::default();
-    labeled.label(v).hash(&mut hasher);
-    hasher.finish()
+/// The 64-bit Fx hash of every node's label, indexed by node: the
+/// `label_word`s every exact-key fingerprint in this module uses, computed
+/// once per graph instead of once per ball a node appears in.
+fn label_words<L: Hash>(labeled: &LabeledGraph<L>) -> Vec<u64> {
+    let build = FxBuildHasher::default();
+    labeled
+        .labels()
+        .iter()
+        .map(|label| build.hash_one(label))
+        .collect()
 }
 
 /// Shared body of the `distinct_oblivious_views_of*` fast paths: in-place
@@ -251,38 +261,42 @@ fn distinct_of_budgeted_impl<L: Clone + Eq + Hash>(
     budget: EnumerationBudget,
     mut code_of: impl FnMut(&ObliviousView<L>, &mut CanonScratch) -> Arc<CanonicalCode>,
 ) -> (Vec<ObliviousView<L>>, BudgetUsage) {
+    let graph = labeled.graph();
+    let words = label_words(labeled);
     let mut extractor = BallExtractor::new();
     let mut scratch = CanonScratch::new();
+    let mut key = Vec::new();
     let mut exact_seen: FxHashSet<Vec<u64>> = FxHashSet::default();
     let mut codes: FxHashSet<Arc<CanonicalCode>> = FxHashSet::default();
     let mut result = Vec::new();
     let mut usage = BudgetUsage::default();
-    for v in labeled.graph().nodes() {
+    for v in graph.nodes() {
         let remaining = budget.max_nodes.saturating_sub(usage.nodes_visited);
         if remaining == 0 {
             usage.exhausted = true;
             break;
         }
         let cap = usize::try_from(remaining).unwrap_or(usize::MAX);
-        let Some(key) = extractor
-            .exact_key_within(labeled.graph(), v, radius, cap, |u| label_hash(labeled, u))
+        let fits = extractor
+            .exact_key_within(graph, v, radius, cap, &mut key, |u| words[u.index()])
             // ld-analyze: allow(D004, reason = "invariant: v iterates over this graph's own nodes")
-            .expect("node comes from the graph itself")
-        else {
+            .expect("node comes from the graph itself");
+        if !fits {
             usage.exhausted = true;
             break;
-        };
+        }
         usage.nodes_visited += extractor.current_node_count() as u64;
-        if !exact_seen.insert(key) {
+        if exact_seen.contains(key.as_slice()) {
             continue;
         }
         if usage.views_materialized >= budget.max_views {
             usage.exhausted = true;
             break;
         }
-        // New layout: materialise the ball from the BFS scratch `exact_key`
-        // just populated — no second traversal.
-        let ball = extractor.materialize_current(labeled.graph());
+        exact_seen.insert(key.clone());
+        // New layout: materialise the ball from the BFS scratch the
+        // fingerprint just populated — no second traversal.
+        let ball = extractor.materialize_current(graph);
         let labels = ball
             .mapping()
             .iter()
@@ -343,8 +357,10 @@ pub fn distinct_views_by_radius_cached<L: Clone + Eq + Hash + Send + Sync>(
     budget: EnumerationBudget,
 ) -> (Vec<Vec<ObliviousView<L>>>, BudgetUsage) {
     let graph = labeled.graph();
+    let words = label_words(labeled);
     let mut extractor = BallExtractor::new();
     let mut scratch = CanonScratch::new();
+    let mut key = Vec::new();
     let mut exact_seen: Vec<FxHashSet<Vec<u64>>> = vec![FxHashSet::default(); max_radius + 1];
     let mut codes: Vec<FxHashSet<Arc<CanonicalCode>>> = vec![FxHashSet::default(); max_radius + 1];
     let mut results: Vec<Vec<ObliviousView<L>>> = vec![Vec::new(); max_radius + 1];
@@ -357,27 +373,24 @@ pub fn distinct_views_by_radius_cached<L: Clone + Eq + Hash + Send + Sync>(
                 break 'nodes;
             }
             let cap = usize::try_from(remaining).unwrap_or(usize::MAX);
-            let key = if radius == 0 {
-                match extractor
-                    .exact_key_within(graph, v, 0, cap, |u| label_hash(labeled, u))
+            let fits = if radius == 0 {
+                extractor
+                    .exact_key_within(graph, v, 0, cap, &mut key, |u| words[u.index()])
                     // ld-analyze: allow(D004, reason = "invariant: v iterates over this graph's own nodes")
                     .expect("node comes from the graph itself")
-                {
-                    Some(key) => key,
-                    None => {
-                        usage.exhausted = true;
-                        break 'nodes;
-                    }
-                }
             } else {
-                if !extractor.extend_current_within(graph, radius, cap) {
-                    usage.exhausted = true;
-                    break 'nodes;
+                let fits = extractor.extend_current_within(graph, radius, cap);
+                if fits {
+                    extractor.current_exact_key(graph, &mut key, |u| words[u.index()]);
                 }
-                extractor.current_exact_key(graph, |u| label_hash(labeled, u))
+                fits
             };
+            if !fits {
+                usage.exhausted = true;
+                break 'nodes;
+            }
             usage.nodes_visited += extractor.current_node_count() as u64;
-            if !exact_seen[radius].insert(key) {
+            if exact_seen[radius].contains(key.as_slice()) {
                 // Seen layout at this radius — but keep extending: the same
                 // centre can still contribute new views at larger radii.
                 continue;
@@ -386,6 +399,7 @@ pub fn distinct_views_by_radius_cached<L: Clone + Eq + Hash + Send + Sync>(
                 usage.exhausted = true;
                 break 'nodes;
             }
+            exact_seen[radius].insert(key.clone());
             let ball = extractor.materialize_current(graph);
             let labels = ball
                 .mapping()

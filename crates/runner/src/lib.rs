@@ -36,7 +36,7 @@
 //!   budgets (`EnumerationBudget::scaled`) capping every cell.
 //! * **Reporters** ([`report`]) — JSON and CSV run records (schema
 //!   `ld-runner/report/v3`: header, append-only `cells` stream, trailing
-//!   summary) plus the `BENCH_runner.json` perf snapshot, and a
+//!   summary) plus the flat perf snapshot `ldx run --bench-json` writes, and a
 //!   version-compatible reader ([`summary`]) that parses v3 and the legacy
 //!   v2/v1 documents alike — which is what `ldx diff` compares any two
 //!   persisted reports with.

@@ -13,8 +13,9 @@
 //!   consumers.
 //!
 //! [`RunReport::bench_snapshot_json`] additionally distils a perf snapshot
-//! (`BENCH_runner.json` at the repo root) so the repo's performance
-//! trajectory is recorded alongside its correctness results.
+//! (what `ldx run --bench-json FILE` writes; the committed
+//! `BENCH_runner.json` is one) so the repo's performance trajectory is
+//! recorded alongside its correctness results.
 //!
 //! The current schema is `ld-runner/report/v3`: a header (schema, scenario,
 //! config), the `cells` array in cell-index order, and a trailing `summary`
@@ -164,7 +165,7 @@ impl RunReport {
         out
     }
 
-    /// The perf snapshot written to `BENCH_runner.json`: scenario, scale,
+    /// The perf snapshot `ldx run --bench-json` writes: scenario, scale,
     /// wall time, throughput and cache effectiveness in one flat object.
     pub fn bench_snapshot_json(&self) -> String {
         Json::object()

@@ -596,7 +596,7 @@ pub struct StreamSummary {
 }
 
 impl StreamSummary {
-    /// The flat perf snapshot (`BENCH_runner.json`), mirroring
+    /// The flat perf snapshot (`ldx run --bench-json`), mirroring
     /// [`RunReport::bench_snapshot_json`].
     ///
     /// [`RunReport::bench_snapshot_json`]: crate::report::RunReport::bench_snapshot_json

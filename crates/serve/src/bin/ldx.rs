@@ -5,10 +5,10 @@
 //! ldx run <scenario> | --file <scenario.json>
 //!                    [--max-n N] [--threads T] [--seed S] [--radius R]
 //!                    [--node-budget N] [--view-budget N] [--shard-size N]
-//!                    [--out FILE.json] [--csv FILE.csv] [--no-bench-json]
+//!                    [--out FILE.json] [--csv FILE.csv] [--bench-json FILE]
 //!                    [--deterministic] [--max-shards N]
 //! ldx resume <report.json> [--file <scenario.json>] [--threads T]
-//!                          [--no-bench-json] [--max-shards N]
+//!                          [--bench-json FILE] [--max-shards N]
 //! ldx diff <a.json> <b.json>
 //! ldx analyze [--deny-all] [--json] [--root DIR]
 //! ldx serve [--addr HOST:PORT] [--spool DIR] [--workers N]
@@ -17,9 +17,14 @@
 //!                       [config flags as for run]
 //! ldx dispatch <scenario> [--workers N | --worker HOST:PORT ...] [--out FILE]
 //!                         [--lease-ms MS] [--batch N] [--max-attempts N]
-//!                         [--no-bench-json] [config flags as for run]
+//!                         [--bench-json FILE] [config flags as for run]
 //! ldx shutdown [--addr HOST:PORT]
 //! ```
+//!
+//! `run`, `resume` and `dispatch` write nothing but the report (and its
+//! checkpoint and CSV) unless asked: `--bench-json FILE` adds the flat
+//! perf snapshot of a completed run.  `--no-bench-json` is accepted and
+//! ignored, so older scripts keep parsing.
 //!
 //! `run` executes the named scenario through the **streaming sharded
 //! pipeline**: cells are executed shard by shard and appended to the JSON
@@ -63,7 +68,7 @@ use ld_runner::{
 use ld_serve::client;
 use ld_serve::{DispatchOptions, JobSpec, ServeOptions, Server};
 use std::io::BufRead;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 // ld-analyze: allow(D002, reason = "CLI status lines report real elapsed wall time")
 use std::time::{Duration, Instant};
@@ -125,7 +130,7 @@ impl CliError {
 
 fn usage() -> String {
     let mut out = String::from(
-        "usage:\n  ldx list [--json]\n  ldx run <scenario> | --file <scenario.json>\n                     [--max-n N] [--threads T] [--seed S] [--radius R]\n                     [--node-budget N] [--view-budget N] [--shard-size N]\n                     [--out FILE.json] [--csv FILE.csv] [--no-bench-json]\n                     [--deterministic] [--max-shards N]\n  ldx resume <report.json> [--file <scenario.json>] [--threads T]\n             [--no-bench-json] [--max-shards N]\n  ldx diff <a.json> <b.json>\n  ldx analyze [--deny-all] [--json] [--root DIR]\n  ldx serve [--addr HOST:PORT] [--spool DIR] [--workers N]\n  ldx submit <scenario> | --file <scenario.json>\n             [--addr HOST:PORT] [--priority P] [--wait] [--out FILE]\n             [config flags as for run]\n  ldx dispatch <scenario> [--workers N | --worker HOST:PORT ...] [--out FILE]\n               [--lease-ms MS] [--batch N] [--max-attempts N]\n               [--no-bench-json] [config flags as for run]\n  ldx shutdown [--addr HOST:PORT]\n\nscenario documents (--file) follow docs/DSL.md, schema ld-runner/scenario/v1\n\nscenarios:\n",
+        "usage:\n  ldx list [--json]\n  ldx run <scenario> | --file <scenario.json>\n                     [--max-n N] [--threads T] [--seed S] [--radius R]\n                     [--node-budget N] [--view-budget N] [--shard-size N]\n                     [--out FILE.json] [--csv FILE.csv] [--bench-json FILE]\n                     [--deterministic] [--max-shards N]\n  ldx resume <report.json> [--file <scenario.json>] [--threads T]\n             [--bench-json FILE] [--max-shards N]\n  ldx diff <a.json> <b.json>\n  ldx analyze [--deny-all] [--json] [--root DIR]\n  ldx serve [--addr HOST:PORT] [--spool DIR] [--workers N]\n  ldx submit <scenario> | --file <scenario.json>\n             [--addr HOST:PORT] [--priority P] [--wait] [--out FILE]\n             [config flags as for run]\n  ldx dispatch <scenario> [--workers N | --worker HOST:PORT ...] [--out FILE]\n               [--lease-ms MS] [--batch N] [--max-attempts N]\n               [--bench-json FILE] [config flags as for run]\n  ldx shutdown [--addr HOST:PORT]\n\nscenario documents (--file) follow docs/DSL.md, schema ld-runner/scenario/v1\n\nscenarios:\n",
     );
     out.push_str(&scenario_lines());
     out
@@ -145,7 +150,7 @@ struct RunArgs {
     config: SweepConfig,
     out: Option<PathBuf>,
     csv: Option<PathBuf>,
-    bench_json: bool,
+    bench_json: Option<PathBuf>,
     deterministic: bool,
     max_shards: Option<usize>,
 }
@@ -221,7 +226,7 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
         config: SweepConfig::default(),
         out: None,
         csv: None,
-        bench_json: true,
+        bench_json: None,
         deterministic: false,
         max_shards: None,
     };
@@ -255,7 +260,8 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
             }
             "--out" => run.out = Some(PathBuf::from(value("--out")?)),
             "--csv" => run.csv = Some(PathBuf::from(value("--csv")?)),
-            "--no-bench-json" => run.bench_json = false,
+            "--bench-json" => run.bench_json = Some(PathBuf::from(value("--bench-json")?)),
+            "--no-bench-json" => {}
             "--deterministic" => run.deterministic = true,
             other => return Err(CliError::Usage(format!("unknown flag {other}"))),
         }
@@ -296,14 +302,6 @@ fn resolve_scenario(
     }
 }
 
-/// The workspace root this binary was built from; `BENCH_runner.json` lands
-/// there so the perf trajectory lives next to the sources.
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-}
-
 fn print_summary(summary: &StreamSummary) {
     println!(
         "{}: {} cells in {} shard(s) on {} thread(s) in {:.2?}{}",
@@ -342,21 +340,15 @@ fn print_summary(summary: &StreamSummary) {
     }
 }
 
-fn write_bench_snapshot(summary: &StreamSummary) {
-    // The snapshot is best-effort: the repo root is baked in at compile
-    // time, so a relocated binary must not fail an otherwise green run.
-    let bench = repo_root().join("BENCH_runner.json");
-    match std::fs::write(&bench, summary.bench_snapshot_json()) {
-        Ok(()) => println!("  perf snapshot: {}", bench.display()),
-        Err(e) => eprintln!("ldx: skipping perf snapshot {}: {e}", bench.display()),
+/// Writes the perf snapshot of a completed run to the `--bench-json` path,
+/// if one was given, and reports whether the run succeeded.
+fn finish(summary: &StreamSummary, bench_json: Option<&Path>) -> Result<bool, CliError> {
+    if let Some(bench) = bench_json.filter(|_| summary.completed) {
+        std::fs::write(bench, summary.bench_snapshot_json())
+            .map_err(|e| format!("writing perf snapshot {}: {e}", bench.display()))?;
+        println!("  perf snapshot: {}", bench.display());
     }
-}
-
-fn finish(summary: &StreamSummary, bench_json: bool) -> bool {
-    if bench_json && summary.completed {
-        write_bench_snapshot(summary);
-    }
-    summary.completed && summary.failed == 0 && summary.panicked == 0
+    Ok(summary.completed && summary.failed == 0 && summary.panicked == 0)
 }
 
 fn cmd_run(args: &[String]) -> Result<bool, CliError> {
@@ -376,7 +368,7 @@ fn cmd_run(args: &[String]) -> Result<bool, CliError> {
     if let Some(csv) = &run.csv {
         println!("  csv: {}", csv.display());
     }
-    Ok(finish(&summary, run.bench_json))
+    finish(&summary, run.bench_json.as_deref())
 }
 
 fn cmd_resume(args: &[String]) -> Result<bool, CliError> {
@@ -386,7 +378,7 @@ fn cmd_resume(args: &[String]) -> Result<bool, CliError> {
             .ok_or_else(|| CliError::Usage("resume: missing report path".to_string()))?,
     );
     let mut threads = None;
-    let mut bench_json = true;
+    let mut bench_json: Option<PathBuf> = None;
     let mut max_shards = None;
     let mut file: Option<PathBuf> = None;
     while let Some(flag) = iter.next() {
@@ -414,7 +406,8 @@ fn cmd_resume(args: &[String]) -> Result<bool, CliError> {
                         .map_err(|e| CliError::Usage(format!("--max-shards: {e}")))?,
                 );
             }
-            "--no-bench-json" => bench_json = false,
+            "--bench-json" => bench_json = Some(PathBuf::from(value("--bench-json")?)),
+            "--no-bench-json" => {}
             other => return Err(CliError::Usage(format!("unknown flag {other}"))),
         }
     }
@@ -441,7 +434,7 @@ fn cmd_resume(args: &[String]) -> Result<bool, CliError> {
     };
     print_summary(&summary);
     println!("  report: {}", report.display());
-    Ok(finish(&summary, bench_json))
+    finish(&summary, bench_json.as_deref())
 }
 
 /// Compares two persisted reports (any schema version) and prints what
@@ -915,7 +908,7 @@ fn cmd_dispatch(args: &[String]) -> Result<bool, CliError> {
     let mut lease_ms = 30_000u64;
     let mut batch = 2usize;
     let mut max_attempts = 4u32;
-    let mut bench_json = true;
+    let mut bench_json: Option<PathBuf> = None;
     while let Some(flag) = iter.next() {
         if parse_config_flag(&mut config, flag, &mut iter).map_err(CliError::Usage)? {
             continue;
@@ -963,7 +956,8 @@ fn cmd_dispatch(args: &[String]) -> Result<bool, CliError> {
                     ));
                 }
             }
-            "--no-bench-json" => bench_json = false,
+            "--bench-json" => bench_json = Some(PathBuf::from(value("--bench-json")?)),
+            "--no-bench-json" => {}
             other => return Err(CliError::Usage(format!("dispatch: unknown flag {other}"))),
         }
     }
@@ -994,7 +988,7 @@ fn cmd_dispatch(args: &[String]) -> Result<bool, CliError> {
         "  dispatch: {worker_count} worker(s), {} shard(s) reassigned, {} stale result(s) rejected, {} worker failure(s)",
         stats.reassigned, stats.stale_rejected, stats.worker_failures
     );
-    Ok(finish(&summary, bench_json))
+    finish(&summary, bench_json.as_deref())
 }
 
 /// `ldx shutdown`: ask the daemon to drain.

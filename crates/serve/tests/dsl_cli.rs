@@ -168,6 +168,60 @@ fn run_requires_a_scenario_name_xor_a_file() {
     assert_eq!(both.status.code(), Some(64));
 }
 
+/// `ldx run` writes its report and nothing else: the perf snapshot goes
+/// only to an explicit `--bench-json` path, never into the checkout the
+/// binary was built from.
+#[test]
+fn default_run_leaves_the_checkout_bench_json_unchanged() {
+    let checkout = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_runner.json");
+    let stamp = |path: &PathBuf| {
+        std::fs::metadata(path)
+            .ok()
+            .map(|meta| (meta.modified().unwrap(), std::fs::read(path).unwrap()))
+    };
+    let before = stamp(&checkout);
+    let dir = temp_dir("bench-json");
+    let status = ldx()
+        .args(["run", "section2-sweep", "--max-n", "24", "--threads", "1"])
+        .args(["--out", "report.json"])
+        .current_dir(&dir)
+        .status()
+        .expect("spawn ldx");
+    assert!(status.success(), "default run failed");
+    assert!(
+        stamp(&checkout) == before,
+        "ldx run rewrote {}",
+        checkout.display()
+    );
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    assert_eq!(written, ["report.json"]);
+
+    // The opt-in flag writes the snapshot where it is told to.
+    let bench = dir.join("bench.json");
+    let status = ldx()
+        .args(["run", "section2-sweep", "--max-n", "24", "--threads", "1"])
+        .args(["--out", "report.json", "--bench-json", "bench.json"])
+        .current_dir(&dir)
+        .status()
+        .expect("spawn ldx");
+    assert!(status.success(), "--bench-json run failed");
+    let snapshot = Json::parse(&std::fs::read_to_string(&bench).unwrap()).unwrap();
+    assert_eq!(
+        snapshot.get("scenario").and_then(Json::as_str),
+        Some("section2-sweep")
+    );
+    assert!(
+        stamp(&checkout) == before,
+        "ldx run rewrote {}",
+        checkout.display()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn help_prints_the_usage_to_stdout_and_exits_0() {
     for flag in ["--help", "-h", "help"] {

@@ -164,3 +164,32 @@ fn section3_sweep_matches_the_committed_fixture() {
         );
     }
 }
+
+/// FNV-1a 64 digest of the deterministic `section2-sweep-xl --max-n 512`
+/// report (112 580 bytes, too large to commit as a fixture).  Any change to
+/// view enumeration, ball extraction or budget accounting that moves a
+/// report byte of the benchmarked XL sweep fails here.
+const SECTION2_XL_512_DIGEST: u64 = 0x05af_cf4f_3a75_7154;
+
+#[test]
+fn section2_sweep_xl_matches_the_pinned_digest() {
+    let scenario = scenarios::find("section2-sweep-xl").unwrap();
+    for threads in [1, 2] {
+        let config = SweepConfig {
+            max_n: 512,
+            threads,
+            ..SweepConfig::default()
+        };
+        let path = temp_path(&format!("section2-xl-digest-t{threads}"));
+        let summary = stream::run(scenario.as_ref(), &config, &path, &DETERMINISTIC).unwrap();
+        assert!(summary.completed);
+        let streamed = std::fs::read(&path).unwrap();
+        cleanup(&path);
+        assert_eq!(streamed.len(), 112_580, "report size at {threads} threads");
+        assert_eq!(
+            stream::fnv1a(stream::FNV_OFFSET, &streamed),
+            SECTION2_XL_512_DIGEST,
+            "section2-sweep-xl at {threads} threads diverges from the pinned digest"
+        );
+    }
+}
