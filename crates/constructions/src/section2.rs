@@ -265,20 +265,19 @@ impl Section2Params {
             .enumerate()
             .map(|(i, c)| (c, i))
             .collect();
-        let mut graph = Graph::with_nodes(coords.len() + 1);
-        let pivot = NodeId::from(coords.len());
+        let pivot = coords.len();
+        let mut edges = Vec::new();
         for (i, &c) in coords.iter().enumerate() {
             for n in Self::tree_neighbors(c, depth) {
                 if let Some(&j) = index.get(&n) {
                     if i < j {
-                        graph.add_edge(NodeId::from(i), NodeId::from(j))?;
+                        edges.push((i, j));
                     }
                 }
             }
         }
-        for b in self.border_coords(root) {
-            graph.add_edge(NodeId::from(index[&b]), pivot)?;
-        }
+        edges.extend(self.border_coords(root).iter().map(|b| (index[b], pivot)));
+        let graph = Graph::from_edges(coords.len() + 1, edges)?;
         let r = self.r;
         let mut labels: Vec<Section2Label> = coords
             .iter()
@@ -681,13 +680,15 @@ mod tests {
         // Extra edge inside a small instance.
         let h = p.small_instance(Coord::new(0, 0)).unwrap();
         let (graph, labels) = h.into_parts();
-        let mut graph = graph;
         // Nodes 1 and 2 are the two children (siblings on the level path are
         // already adjacent), so connect node 0 to the pivot instead.
         let pivot = NodeId::from(labels.iter().position(|l| l.coord.is_none()).unwrap());
+        let mut edges: Vec<(usize, usize)> =
+            graph.edges().map(|(u, v)| (u.index(), v.index())).collect();
         if !graph.has_edge(NodeId(0), pivot) {
-            graph.add_edge(NodeId(0), pivot).unwrap();
+            edges.push((0, pivot.index()));
         }
+        let graph = Graph::from_edges(graph.node_count(), edges).unwrap();
         let tampered = LabeledGraph::new(graph, labels).unwrap();
         assert_eq!(p.classify(&tampered), InstanceClass::Invalid);
 

@@ -17,7 +17,7 @@
 use crate::error::ConstructionError;
 use crate::fragments::{FragmentCollection, FragmentSource};
 use crate::Result;
-use ld_graph::{generators, LabeledGraph, NodeId};
+use ld_graph::{generators, Graph, LabeledGraph, NodeId};
 use ld_local::enumeration::{collect_oblivious_views, distinct_oblivious_views};
 use ld_local::{ObliviousView, Property};
 use ld_turing::{Cell, ExecutionTable, RunOutcome, Symbol, TuringMachine};
@@ -138,6 +138,9 @@ fn assemble(
     let pivot = generators::grid_index(width, 0, 0);
     let table_nodes = width * side;
 
+    // Fragment nodes glued to the pivot, added in one rebuild at the end
+    // (each appended copy lists its border nodes once).
+    let mut glued: Vec<usize> = Vec::new();
     let mut fragment_count = 0usize;
     for fragment in fragments.fragments() {
         for border_choice in border_variants(machine, fragment) {
@@ -155,12 +158,21 @@ fn assemble(
                     });
                 }
             }
-            for (x, y) in border_choice.non_natural_nodes(fragment.width(), fside) {
-                let node = NodeId::from(offset + y * fragment.width() + x);
-                graph.add_edge_idempotent(node, pivot)?;
-            }
+            glued.extend(
+                border_choice
+                    .non_natural_nodes(fragment.width(), fside)
+                    .into_iter()
+                    .map(|(x, y)| offset + y * fragment.width() + x),
+            );
         }
     }
+    let graph = Graph::from_edges(
+        graph.node_count(),
+        graph
+            .edges()
+            .map(|(u, v)| (u.index(), v.index()))
+            .chain(glued.into_iter().map(|node| (node, pivot.index()))),
+    )?;
     let labeled = LabeledGraph::new(graph, labels)?;
     Ok(GmrInstance {
         labeled,
@@ -499,7 +511,8 @@ mod tests {
                 labels.push(label(x, y, table.cell(y, x).unwrap()));
             }
         }
-        let pivot = generators::grid_index(width, 0, 0);
+        let pivot = generators::grid_index(width, 0, 0).index();
+        let mut glue = Vec::new();
         for fragment in fragments.fragments() {
             for border_choice in border_variants(machine, fragment) {
                 let (fwidth, fside) = (fragment.width(), fragment.height());
@@ -511,11 +524,12 @@ mod tests {
                     }
                 }
                 for (x, y) in border_choice.non_natural_nodes(fwidth, fside) {
-                    let node = NodeId::from(offset + y * fwidth + x);
-                    graph.add_edge_idempotent(node, pivot).unwrap();
+                    glue.push((pivot, offset + y * fwidth + x));
                 }
             }
         }
+        let edges = graph.edges().map(|(u, v)| (u.index(), v.index()));
+        let graph = Graph::from_edges(graph.node_count(), edges.chain(glue)).unwrap();
         LabeledGraph::new(graph, labels).unwrap()
     }
 

@@ -393,17 +393,17 @@ impl BallExtractor {
     /// buffers.  `graph`, `center` and `radius` must be the arguments of
     /// that BFS.
     fn materialize(&self, graph: &Graph, center: NodeId, radius: usize) -> Ball {
-        // Induced subgraph on the members, in member order.
-        let mut sub = Graph::with_nodes(self.members.len());
-        for (new_u, &orig_u) in self.members.iter().enumerate() {
-            for orig_v in graph.neighbors(orig_u) {
-                let new_v = self.position[orig_v.index()];
-                if new_v != UNSEEN && (new_u as u32) < new_v {
-                    sub.add_edge(NodeId::from(new_u), NodeId::from(new_v as usize))
-                        .expect("members are distinct and edges are unique");
-                }
-            }
-        }
+        // Induced subgraph on the members, in member order, written
+        // straight into CSR rows.
+        let sub = Graph::from_rows(self.members.len(), |new_u, row| {
+            row.extend(
+                graph
+                    .neighbors(self.members[new_u])
+                    .map(|orig_v| self.position[orig_v.index()])
+                    .filter(|&new_v| new_v != UNSEEN)
+                    .map(NodeId),
+            );
+        });
 
         let distances = self
             .members

@@ -3,8 +3,8 @@
 //! Every ball the paper's sweeps canonicalise is tiny — a radius-3 ball in
 //! a grid has 25 nodes, in a cycle 7 — so the canonical-code hot path in
 //! [`crate::canon`] spends its time not on asymptotics but on memory
-//! traffic: `Vec<Vec<NodeId>>` adjacency chasing, per-branch partition
-//! clones, and per-node AHU code vectors.  This module is a drop-in kernel
+//! traffic: neighbour-row walking, per-branch partition clones, and
+//! per-node AHU code vectors.  This module is a drop-in kernel
 //! for the **≤ 64 node regime** that runs the *same algorithms* over flat
 //! word-parallel state:
 //!
@@ -109,8 +109,11 @@ pub(crate) fn thread_form(graph: &Graph, center: Option<NodeId>, colors: &[u64])
 
 /// How many times this thread's shared scratch has run the bitset kernel
 /// (oracle fallbacks do not count).  Thread-local, so concurrently running
-/// tests cannot perturb each other's dispatch assertions.
-pub fn thread_kernel_calls() -> u64 {
+/// tests cannot perturb each other's dispatch assertions.  Test-only: view
+/// enumeration canonicalises through its own [`CanonScratch`], whose
+/// [`CanonScratch::kernel_calls`] is the production counter.
+#[cfg(test)]
+pub(crate) fn thread_kernel_calls() -> u64 {
     SCRATCH.with(|cell| cell.try_borrow().map_or(0, |s| s.kernel_calls()))
 }
 

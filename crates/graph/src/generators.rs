@@ -15,6 +15,7 @@
 use crate::graph::{Graph, NodeId};
 use crate::{GraphError, Result};
 use rand::Rng;
+use std::collections::BTreeSet;
 
 /// Path on `n` nodes `0 - 1 - ... - n-1`.  `path(0)` is the empty graph.
 pub fn path(n: usize) -> Graph {
@@ -27,50 +28,33 @@ pub fn cycle(n: usize) -> Graph {
     ring(n, n >= 3)
 }
 
-/// The `n`-path, closed by the edge `{n-1, 0}` when `closed`, built in one
-/// pass: every adjacency list is written already sorted.
+/// The `n`-path, closed by the edge `{n-1, 0}` when `closed`, written
+/// straight into CSR rows.
 fn ring(n: usize, closed: bool) -> Graph {
-    let adjacency = (0..n)
-        .map(|i| {
-            let mut list = Vec::with_capacity(2);
-            if closed && i == n - 1 {
-                list.push(NodeId(0));
-            }
-            if i > 0 {
-                list.push(NodeId::from(i - 1));
-            }
-            if i + 1 < n {
-                list.push(NodeId::from(i + 1));
-            }
-            if closed && i == 0 {
-                list.push(NodeId::from(n - 1));
-            }
-            list
-        })
-        .collect();
-    Graph::from_sorted_adjacency(adjacency)
+    Graph::from_rows(n, |i, row| {
+        if i > 0 {
+            row.push(NodeId::from(i - 1));
+        }
+        if i + 1 < n {
+            row.push(NodeId::from(i + 1));
+        }
+        if closed && (i == 0 || i == n - 1) {
+            row.push(NodeId::from(n - 1 - i));
+        }
+    })
 }
 
 /// Complete graph on `n` nodes.
 pub fn complete(n: usize) -> Graph {
-    let mut g = Graph::with_nodes(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            g.add_edge(NodeId::from(u), NodeId::from(v))
-                .expect("complete graph edges are simple");
-        }
-    }
-    g
+    Graph::from_rows(n, |u, row| {
+        row.extend((0..n).filter(|&v| v != u).map(NodeId::from));
+    })
 }
 
 /// Star with one centre (node 0) and `leaves` leaves.
 pub fn star(leaves: usize) -> Graph {
-    let mut g = Graph::with_nodes(leaves + 1);
-    for leaf in 1..=leaves {
-        g.add_edge(NodeId(0), NodeId::from(leaf))
-            .expect("star edges are simple");
-    }
-    g
+    Graph::from_edges(leaves + 1, (1..=leaves).map(|leaf| (0, leaf)))
+        .expect("star edges are simple")
 }
 
 /// `width x height` grid graph; node `(x, y)` has index `y * width + x`.
@@ -78,21 +62,21 @@ pub fn star(leaves: usize) -> Graph {
 /// Two nodes are adjacent when their Euclidean distance is 1, exactly as the
 /// paper defines the execution-table grid.
 pub fn grid(width: usize, height: usize) -> Graph {
-    let mut g = Graph::with_nodes(width * height);
-    for y in 0..height {
-        for x in 0..width {
-            let here = y * width + x;
-            if x + 1 < width {
-                g.add_edge(NodeId::from(here), NodeId::from(here + 1))
-                    .expect("grid edges are simple");
-            }
-            if y + 1 < height {
-                g.add_edge(NodeId::from(here), NodeId::from(here + width))
-                    .expect("grid edges are simple");
-            }
+    Graph::from_rows(width * height, |here, row| {
+        let (x, y) = (here % width, here / width);
+        if y > 0 {
+            row.push(NodeId::from(here - width));
         }
-    }
-    g
+        if x > 0 {
+            row.push(NodeId::from(here - 1));
+        }
+        if x + 1 < width {
+            row.push(NodeId::from(here + 1));
+        }
+        if y + 1 < height {
+            row.push(NodeId::from(here + width));
+        }
+    })
 }
 
 /// Index of grid node `(x, y)` in the graph returned by [`grid`].
@@ -110,17 +94,15 @@ pub fn torus(width: usize, height: usize) -> Result<Graph> {
             reason: format!("torus requires both dimensions >= 3, got {width}x{height}"),
         });
     }
-    let mut g = Graph::with_nodes(width * height);
+    let mut edges = BTreeSet::new();
     for y in 0..height {
         for x in 0..width {
             let here = y * width + x;
-            let right = y * width + (x + 1) % width;
-            let down = ((y + 1) % height) * width + x;
-            g.add_edge_idempotent(NodeId::from(here), NodeId::from(right))?;
-            g.add_edge_idempotent(NodeId::from(here), NodeId::from(down))?;
+            edges.insert(normalised(here, y * width + (x + 1) % width));
+            edges.insert(normalised(here, ((y + 1) % height) * width + x));
         }
     }
-    Ok(g)
+    Graph::from_edges(width * height, edges)
 }
 
 /// Complete binary tree of depth `depth` (a single node for depth 0).
@@ -128,16 +110,20 @@ pub fn torus(width: usize, height: usize) -> Result<Graph> {
 /// Level `y` (`0 <= y <= depth`) holds `2^y` nodes; node `(x, y)` has index
 /// [`binary_tree_index`]`(x, y)`.
 pub fn complete_binary_tree(depth: u32) -> Graph {
-    let n = binary_tree_node_count(depth);
-    let mut g = Graph::with_nodes(n);
-    for y in 1..=depth {
-        for x in 0..(1u64 << y) {
-            let child = binary_tree_index(x, y);
-            let parent = binary_tree_index(x / 2, y - 1);
-            g.add_edge(parent, child).expect("tree edges are simple");
-        }
-    }
-    g
+    Graph::from_edges(binary_tree_node_count(depth), binary_tree_edges(depth))
+        .expect("tree edges are simple")
+}
+
+/// The parent-child edges of [`complete_binary_tree`]`(depth)`.
+fn binary_tree_edges(depth: u32) -> impl Iterator<Item = (usize, usize)> {
+    (1..=depth).flat_map(|y| {
+        (0..(1u64 << y)).map(move |x| {
+            (
+                binary_tree_index(x / 2, y - 1).index(),
+                binary_tree_index(x, y).index(),
+            )
+        })
+    })
 }
 
 /// Number of nodes of a complete binary tree of depth `depth`.
@@ -156,14 +142,19 @@ pub fn binary_tree_index(x: u64, y: u32) -> NodeId {
 /// a complete binary tree where, additionally, the nodes of each level are
 /// connected by a path in the natural left-to-right order.
 pub fn layered_tree(depth: u32) -> Graph {
-    let mut g = complete_binary_tree(depth);
-    for y in 1..=depth {
-        for x in 1..(1u64 << y) {
-            g.add_edge(binary_tree_index(x - 1, y), binary_tree_index(x, y))
-                .expect("level-path edges are simple and new");
-        }
-    }
-    g
+    let level_paths = (1..=depth).flat_map(|y| {
+        (1..(1u64 << y)).map(move |x| {
+            (
+                binary_tree_index(x - 1, y).index(),
+                binary_tree_index(x, y).index(),
+            )
+        })
+    });
+    Graph::from_edges(
+        binary_tree_node_count(depth),
+        binary_tree_edges(depth).chain(level_paths),
+    )
+    .expect("level-path edges are simple and new")
 }
 
 /// Coordinates `(x, y)` of every node of [`layered_tree`]`(depth)`, indexed
@@ -207,84 +198,75 @@ pub fn quadtree_pyramid(h: u32) -> (Graph, Vec<(usize, usize, u32)>) {
     }
     level_offset.push(total);
 
-    let index = |x: usize, y: usize, z: u32| -> NodeId {
+    let index = |x: usize, y: usize, z: u32| -> usize {
         let side = 1usize << (h - z);
-        NodeId::from(level_offset[z as usize] + y * side + x)
+        level_offset[z as usize] + y * side + x
     };
 
-    let mut g = Graph::with_nodes(total);
-    for z in 0..=h {
+    let mut edges = BTreeSet::new();
+    for &(x, y, z) in &coords {
         let side = 1usize << (h - z);
-        for y in 0..side {
-            for x in 0..side {
-                let here = index(x, y, z);
-                if x + 1 < side {
-                    g.add_edge(here, index(x + 1, y, z)).expect("grid edge");
-                }
-                if y + 1 < side {
-                    g.add_edge(here, index(x, y + 1, z)).expect("grid edge");
-                }
-                if z < h {
-                    g.add_edge_idempotent(here, index(x / 2, y / 2, z + 1))
-                        .expect("parent edge endpoints are in range");
-                }
-            }
+        let here = index(x, y, z);
+        if x + 1 < side {
+            edges.insert((here, index(x + 1, y, z)));
+        }
+        if y + 1 < side {
+            edges.insert((here, index(x, y + 1, z)));
+        }
+        if z < h {
+            edges.insert((here, index(x / 2, y / 2, z + 1)));
         }
     }
+    let g = Graph::from_edges(total, edges).expect("pyramid edges are simple");
     (g, coords)
 }
 
 /// Erdős–Rényi `G(n, p)` random graph.
 pub fn random_gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
-    let mut g = Graph::with_nodes(n);
+    let mut edges = Vec::new();
     for u in 0..n {
         for v in (u + 1)..n {
             if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                g.add_edge(NodeId::from(u), NodeId::from(v))
-                    .expect("gnp edges are generated once");
+                edges.push((u, v));
             }
         }
     }
-    g
+    Graph::from_edges(n, edges).expect("gnp edges are generated once")
 }
 
 /// Uniformly random labelled tree on `n` nodes via a random Prüfer-like
 /// attachment process (each node `i >= 1` attaches to a uniformly random
 /// earlier node).
 pub fn random_attachment_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
-    let mut g = Graph::with_nodes(n);
-    for i in 1..n {
-        let parent = rng.gen_range(0..i);
-        g.add_edge(NodeId::from(parent), NodeId::from(i))
-            .expect("attachment edges are simple");
-    }
-    g
+    Graph::from_edges(n, attachment_tree_edges(n, rng)).expect("attachment edges are simple")
+}
+
+/// The edges `(parent, i)` of [`random_attachment_tree`], drawn in order.
+fn attachment_tree_edges<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<(usize, usize)> {
+    (1..n).map(|i| (rng.gen_range(0..i), i)).collect()
 }
 
 /// A connected random graph: a random attachment tree plus `extra_edges`
 /// additional uniformly random non-edges (or fewer if the graph saturates).
 pub fn random_connected<R: Rng + ?Sized>(n: usize, extra_edges: usize, rng: &mut R) -> Graph {
-    let mut g = random_attachment_tree(n, rng);
-    if n < 2 {
-        return g;
-    }
+    let mut edges = attachment_tree_edges(n, rng);
+    let mut present: BTreeSet<(usize, usize)> = edges.iter().copied().collect();
     let mut added = 0;
     let mut attempts = 0;
     let max_attempts = extra_edges.saturating_mul(20) + 100;
-    while added < extra_edges && attempts < max_attempts {
+    while n >= 2 && added < extra_edges && attempts < max_attempts {
         attempts += 1;
         let u = rng.gen_range(0..n);
         let v = rng.gen_range(0..n);
         if u == v {
             continue;
         }
-        if g.add_edge_idempotent(NodeId::from(u), NodeId::from(v))
-            .expect("endpoints are in range and distinct")
-        {
+        if present.insert(normalised(u, v)) {
+            edges.push((u, v));
             added += 1;
         }
     }
-    g
+    Graph::from_edges(n, edges).expect("endpoints are in range, distinct and new")
 }
 
 /// Random `d`-regular graph on `n` nodes via the pairing (configuration)
@@ -321,21 +303,12 @@ pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Resul
         for i in (1..stubs.len()).rev() {
             stubs.swap(i, rng.gen_range(0..=i));
         }
-        let mut g = Graph::with_nodes(n);
-        let mut simple = true;
-        for pair in stubs.chunks_exact(2) {
-            let (u, v) = (pair[0], pair[1]);
-            if u == v
-                || !g
-                    .add_edge_idempotent(NodeId::from(u), NodeId::from(v))
-                    .expect("stub endpoints are in range")
-            {
-                simple = false;
-                break;
-            }
-        }
+        let mut edges = BTreeSet::new();
+        let simple = stubs
+            .chunks_exact(2)
+            .all(|pair| pair[0] != pair[1] && edges.insert(normalised(pair[0], pair[1])));
         if simple {
-            return Ok(g);
+            return Graph::from_edges(n, edges);
         }
     }
     Err(GraphError::InvalidParameter {
@@ -364,14 +337,13 @@ pub fn preferential_attachment<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R)
             reason: format!("preferential attachment needs n >= m + 1 (got n = {n}, m = {m})"),
         });
     }
-    let mut g = Graph::with_nodes(n);
+    let mut edges = Vec::with_capacity(m * (m + 1) / 2 + (n - m - 1) * m);
     // One entry per half-edge endpoint: sampling it uniformly is sampling a
     // node proportionally to its degree.
-    let mut endpoints: Vec<usize> = Vec::with_capacity(2 * (m * (m + 1) / 2 + (n - m - 1) * m));
+    let mut endpoints: Vec<usize> = Vec::with_capacity(2 * edges.capacity());
     for u in 0..=m {
         for v in (u + 1)..=m {
-            g.add_edge(NodeId::from(u), NodeId::from(v))
-                .expect("seed clique edges are simple");
+            edges.push((u, v));
             endpoints.push(u);
             endpoints.push(v);
         }
@@ -385,13 +357,12 @@ pub fn preferential_attachment<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R)
             }
         }
         for target in targets {
-            g.add_edge(NodeId::from(node), NodeId::from(target))
-                .expect("attachment edges are simple");
+            edges.push((node, target));
             endpoints.push(node);
             endpoints.push(target);
         }
     }
-    Ok(g)
+    Graph::from_edges(n, edges)
 }
 
 /// Circulant graph `C_n(offsets)`: node `i` is adjacent to `i ± o (mod n)`
@@ -418,16 +389,17 @@ pub fn circulant(n: usize, offsets: &[usize]) -> Result<Graph> {
             });
         }
     }
-    let mut g = Graph::with_nodes(n);
-    for i in 0..n {
-        for &o in offsets {
-            // An offset of exactly n/2 meets itself from both sides; the
-            // idempotent insert keeps the graph simple.
-            g.add_edge_idempotent(NodeId::from(i), NodeId::from((i + o) % n))
-                .expect("circulant endpoints are in range and distinct");
-        }
-    }
-    Ok(g)
+    // An offset of exactly n/2 meets itself from both sides; the edge set
+    // keeps the graph simple.
+    let edges: BTreeSet<(usize, usize)> = (0..n)
+        .flat_map(|i| offsets.iter().map(move |&o| normalised(i, (i + o) % n)))
+        .collect();
+    Graph::from_edges(n, edges)
+}
+
+/// The undirected edge `{u, v}` as the ordered pair `(min, max)`.
+fn normalised(u: usize, v: usize) -> (usize, usize) {
+    (u.min(v), u.max(v))
 }
 
 #[cfg(test)]
@@ -458,20 +430,12 @@ mod tests {
     }
 
     #[test]
-    fn paths_and_cycles_match_an_add_edge_reference() {
+    fn paths_and_cycles_match_a_from_edges_reference() {
         for n in 0..=64usize {
-            let mut reference_path = Graph::with_nodes(n);
-            for i in 1..n {
-                reference_path
-                    .add_edge(NodeId::from(i - 1), NodeId::from(i))
-                    .unwrap();
-            }
-            let mut reference_cycle = reference_path.clone();
-            if n >= 3 {
-                reference_cycle
-                    .add_edge(NodeId::from(n - 1), NodeId(0))
-                    .unwrap();
-            }
+            let path_edges = (1..n).map(|i| (i - 1, i));
+            let reference_path = Graph::from_edges(n, path_edges.clone()).unwrap();
+            let closing = (n >= 3).then(|| (n - 1, 0));
+            let reference_cycle = Graph::from_edges(n, path_edges.chain(closing)).unwrap();
             for (built, reference) in [(path(n), reference_path), (cycle(n), reference_cycle)] {
                 assert_eq!(built, reference, "n = {n}");
                 assert_eq!(built.edge_count(), reference.edge_count(), "n = {n}");

@@ -7,26 +7,24 @@
 //! experiment suite can demonstrate the classical PO-impossible tasks the
 //! paper mentions (orienting the edges; 2-colouring a 1-regular graph).
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::{csr_offset, Graph, NodeId};
 use crate::{GraphError, Result};
 use serde::{Deserialize, Serialize};
 
 /// A port numbering: every node numbers its incident edges `0..deg(v)`.
 ///
-/// Stored as, for each node, the list of neighbours ordered by port number.
+/// Stored in [`Graph`]'s compressed-sparse-row layout: node `v`'s
+/// neighbours, ordered by port number, are `ports[offsets[v]..offsets[v + 1]]`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PortNumbering {
-    ports: Vec<Vec<NodeId>>,
+    offsets: Vec<u32>,
+    ports: Vec<NodeId>,
 }
 
 impl PortNumbering {
     /// The canonical port numbering: ports follow increasing neighbour id.
     pub fn canonical(graph: &Graph) -> Self {
-        let ports = graph
-            .nodes()
-            .map(|v| graph.neighbors(v).collect::<Vec<_>>())
-            .collect();
-        PortNumbering { ports }
+        Self::from_rows(graph.nodes().map(|v| graph.neighbors(v)))
     }
 
     /// Builds a port numbering from an explicit neighbour ordering per node.
@@ -46,11 +44,9 @@ impl PortNumbering {
             });
         }
         for (v, order) in orderings.iter().enumerate() {
-            let mut expected: Vec<NodeId> = graph.neighbors(NodeId::from(v)).collect();
             let mut got = order.clone();
-            expected.sort_unstable();
             got.sort_unstable();
-            if expected != got {
+            if !graph.neighbors(NodeId::from(v)).eq(got) {
                 return Err(GraphError::InvalidParameter {
                     reason: format!(
                         "ordering of node {v} is not a permutation of its neighbourhood"
@@ -58,24 +54,42 @@ impl PortNumbering {
                 });
             }
         }
-        Ok(PortNumbering { ports: orderings })
+        Ok(Self::from_rows(orderings))
+    }
+
+    fn from_rows<R: IntoIterator<Item = NodeId>>(rows: impl IntoIterator<Item = R>) -> Self {
+        let mut offsets = vec![0];
+        let mut ports = Vec::new();
+        for row in rows {
+            ports.extend(row);
+            offsets.push(csr_offset(ports.len()));
+        }
+        PortNumbering { offsets, ports }
+    }
+
+    /// The neighbours of `v` in port order, if `v` is a node.
+    fn row(&self, v: NodeId) -> Option<&[NodeId]> {
+        let end = *self.offsets.get(v.index() + 1)?;
+        Some(&self.ports[self.offsets[v.index()] as usize..end as usize])
     }
 
     /// Number of ports (degree) of `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not a node.
     pub fn degree(&self, v: NodeId) -> usize {
-        self.ports[v.index()].len()
+        self.row(v).expect("port numbering covers every node").len()
     }
 
     /// The neighbour reached through port `port` of node `v`, if any.
     pub fn neighbor(&self, v: NodeId, port: usize) -> Option<NodeId> {
-        self.ports.get(v.index()).and_then(|p| p.get(port)).copied()
+        self.row(v).and_then(|p| p.get(port)).copied()
     }
 
     /// The port of `v` that leads to `u`, if they are adjacent.
     pub fn port_to(&self, v: NodeId, u: NodeId) -> Option<usize> {
-        self.ports
-            .get(v.index())
-            .and_then(|p| p.iter().position(|&w| w == u))
+        self.row(v).and_then(|p| p.iter().position(|&w| w == u))
     }
 }
 

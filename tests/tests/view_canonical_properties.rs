@@ -29,23 +29,22 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
     perm
 }
 
-/// Rebuilds `graph` with its edges inserted in a shuffled order: the same
-/// abstract graph, but every node's ports (adjacency order) are permuted.
+/// Rebuilds `graph` from its edges listed in a shuffled order: the same
+/// abstract graph, built from a permuted edge list.
 fn permute_ports(graph: &Graph, seed: u64) -> Graph {
     let mut edges: Vec<(NodeId, NodeId)> = graph.edges().collect();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca1_ab1e);
     edges.shuffle(&mut rng);
-    let mut out = Graph::with_nodes(graph.node_count());
-    for (u, v) in edges {
-        // Flipping endpoints permutes ports further without changing the
-        // edge set.
+    // Flipping endpoints permutes the input further without changing the
+    // edge set.
+    let edges = edges.into_iter().map(|(u, v)| {
         if rng.gen_bool(0.5) {
-            out.add_edge(v, u).unwrap();
+            (v.index(), u.index())
         } else {
-            out.add_edge(u, v).unwrap();
+            (u.index(), v.index())
         }
-    }
-    out
+    });
+    Graph::from_edges(graph.node_count(), edges).unwrap()
 }
 
 proptest! {
