@@ -369,6 +369,14 @@ impl BallExtractor {
         self.members.len()
     }
 
+    /// The original ids of the ball currently in the scratch buffers, in
+    /// ball-local `(distance, original id)` order — valid after a
+    /// successful `extract*` / `exact_key*` / `extend_current*` call, for
+    /// the graph of that call.
+    pub fn current_members(&self) -> &[NodeId] {
+        &self.members
+    }
+
     /// Builds the [`Ball`] for the most recent [`BallExtractor::exact_key`]
     /// or [`BallExtractor::extract`] call on this extractor, without
     /// re-running the BFS.  `graph` must be the same graph that call was
@@ -729,6 +737,7 @@ mod tests {
                 .unwrap();
             let from_scratch = extractor.materialize_current(&g);
             let reference = g.ball(v, 2);
+            assert_eq!(extractor.current_members(), reference.mapping());
             assert_eq!(from_scratch, reference);
         }
     }

@@ -21,6 +21,31 @@
 //! key only for a layout it has not seen — a handful per graph in the
 //! self-similar sweeps, against one probe per centre.
 //!
+//! Most centres of a swept family need no search at all.  Call node `x`
+//! **shift-equal** when `x + 1` is a node with `x`'s label word (labels
+//! enter the exact key only as words, so equal labels always qualify) and
+//! `x + 1`'s neighbour row is `x`'s row with every entry plus one.
+//! `runs[x]` counts the consecutive shift-equal nodes starting at `x` (one
+//! backward `O(n + m)` pass).
+//!
+//! *Shift certificate.* Let `K` be the least `runs[u]` over the members `u`
+//! of `B(v, t)`.  Then for every `j ≤ K` the map `u ↦ u + j` carries
+//! `B(v, t)` onto `B(v + j, t)`.  Each member is `j` shift-equal steps from
+//! its image, so its row shifts by `j`; by induction on BFS layers, layer
+//! `d + 1` of `v + j` is layer `d + 1` of `v` plus `j`.  The shift is
+//! monotone, so the `(distance, original id)` order inside each layer, and
+//! with it the ball-local numbering, the induced edges and the label words,
+//! all carry over: `B(v + j, t)` has `v`'s exact key and size.
+//!
+//! *Budget argument.* The enumeration searches `v`, then skips the next
+//! `K` centres.  Each is charged the searched ball's size and exhausts
+//! exactly when that size exceeds the remaining node cap, which is the
+//! verdict its own bounded BFS would reach.  Its layout is already seen,
+//! so it touches neither the view cap nor the first-occurrence order.  A
+//! cycle or path needs `2t + 3` searches instead of `n`; a grid row skips
+//! every column more than `t` from the side columns.  Uncertified centres
+//! take the per-centre search unchanged.
+//!
 //! The seed pipeline — bucket by the Weisfeiler–Leman `canonical_key`, then
 //! confirm by backtracking isomorphism — is retained as
 //! [`distinct_oblivious_views_pairwise`], the differential-test oracle for
@@ -38,7 +63,7 @@ use crate::hashing::{FxBuildHasher, FxHashMap, FxHashSet};
 use crate::input::Input;
 use crate::view::{ObliviousView, View};
 use ld_graph::canon::CanonicalCode;
-use ld_graph::{BallExtractor, CanonScratch, LabeledGraph};
+use ld_graph::{BallExtractor, CanonScratch, Graph, LabeledGraph, NodeId};
 use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
@@ -134,7 +159,10 @@ impl Default for EnumerationBudget {
 /// result is still deterministic for a fixed input and budget.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BudgetUsage {
-    /// Ball nodes visited (summed over every fingerprinted ball).
+    /// Ball nodes visited (summed over every fingerprinted ball).  A centre
+    /// is charged its ball size whether its ball is searched or certified
+    /// equal to an earlier centre's by a shift (see the module docs), so the
+    /// count does not depend on which centres were searched.
     pub nodes_visited: u64,
     /// Distinct views materialised.
     pub views_materialized: u64,
@@ -240,6 +268,26 @@ fn label_words<L: Hash>(labeled: &LabeledGraph<L>) -> Vec<u64> {
         .collect()
 }
 
+/// `runs[x]`: the number of consecutive shift-equal nodes starting at `x`,
+/// where `x` is shift-equal when `x + 1` is a node with `x`'s label word
+/// whose neighbour row is `x`'s row with every entry plus one (the shift
+/// certificate of the module docs).  One backward pass, `O(n + m)`.
+fn shift_runs(graph: &Graph, words: &[u64]) -> Vec<usize> {
+    let n = graph.node_count();
+    let row = |x: usize| graph.neighbors(NodeId::from(x));
+    let mut runs = vec![0; n];
+    for x in (0..n.saturating_sub(1)).rev() {
+        let (here, next) = (row(x), row(x + 1));
+        let shift_equal = words[x] == words[x + 1]
+            && here.len() == next.len()
+            && here.zip(next).all(|(p, q)| q.index() == p.index() + 1);
+        if shift_equal {
+            runs[x] = runs[x + 1] + 1;
+        }
+    }
+    runs
+}
+
 /// Shared body of the `distinct_oblivious_views_of*` fast paths: in-place
 /// exact-layout dedup, then canonical-code dedup with a caller-chosen code
 /// source (direct computation or a shared cache).
@@ -255,6 +303,8 @@ fn distinct_of_impl<L: Clone + Eq + Hash>(
 /// With [`EnumerationBudget::UNLIMITED`] it is exactly the unbudgeted
 /// pipeline; otherwise it stops — deterministically — the moment a ball
 /// would cross the node cap or a new layout would cross the view cap.
+/// Centres covered by a shift certificate (module docs) are charged
+/// without a search.
 fn distinct_of_budgeted_impl<L: Clone + Eq + Hash>(
     labeled: &LabeledGraph<L>,
     radius: usize,
@@ -270,11 +320,26 @@ fn distinct_of_budgeted_impl<L: Clone + Eq + Hash>(
     let mut codes: FxHashSet<Arc<CanonicalCode>> = FxHashSet::default();
     let mut result = Vec::new();
     let mut usage = BudgetUsage::default();
+    let runs = shift_runs(graph, &words);
+    // Centres the last searched ball still certifies, and that ball's size.
+    let mut certified = 0;
+    let mut ball_size = 0;
     for v in graph.nodes() {
         let remaining = budget.max_nodes.saturating_sub(usage.nodes_visited);
         if remaining == 0 {
             usage.exhausted = true;
             break;
+        }
+        if certified > 0 {
+            // A translate of the searched centre: same size, and its exact
+            // key is already in `exact_seen`.
+            certified -= 1;
+            if ball_size > remaining {
+                usage.exhausted = true;
+                break;
+            }
+            usage.nodes_visited += ball_size;
+            continue;
         }
         let cap = usize::try_from(remaining).unwrap_or(usize::MAX);
         let fits = extractor
@@ -285,7 +350,14 @@ fn distinct_of_budgeted_impl<L: Clone + Eq + Hash>(
             usage.exhausted = true;
             break;
         }
-        usage.nodes_visited += extractor.current_node_count() as u64;
+        ball_size = extractor.current_node_count() as u64;
+        certified = extractor
+            .current_members()
+            .iter()
+            .map(|u| runs[u.index()])
+            .min()
+            .unwrap_or(0);
+        usage.nodes_visited += ball_size;
         if exact_seen.contains(key.as_slice()) {
             continue;
         }

@@ -1,20 +1,33 @@
 //! Distributed dispatch under worker loss: spawn four real single-worker
 //! `ldx serve` daemons, dispatch one sweep across them, SIGKILL one daemon
-//! mid-sweep, and byte-compare the merged report against a single-process
-//! deterministic run.
+//! once the dispatch has merged a few shards, and byte-compare the merged
+//! report against a single-process deterministic run.
 //!
 //! This is the integration proof of the lease/epoch-fencing design: the
 //! killed worker's leased shards must be reassigned (connection loss or
 //! lease expiry — whichever surfaces first) and the merged report must be
-//! indistinguishable from one produced with no failure at all.
+//! indistinguishable from one produced with no failure at all.  The kill
+//! is timed by the dispatch's own checkpoint, not by the clock, so it
+//! lands mid-sweep however fast the cells run, and the test asserts that
+//! fault handling actually ran.
 
-use ld_runner::stream::{self, StreamOptions};
+use ld_runner::stream::{self, Checkpoint, StreamOptions};
 use ld_runner::{scenarios, SweepConfig};
 use ld_serve::DispatchOptions;
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
+
+/// Shards the dispatch must have merged before the victim is killed.
+const KILL_AFTER_SHARDS: usize = 2;
+
+/// Shards that must still be unmerged at the kill: more than the four
+/// workers can hold under lease at once (two shards each), so the
+/// survivors cannot finish the sweep without the victim's share.
+const SHARDS_LEFT_AT_KILL: usize = 16;
 
 struct Worker {
     child: Child,
@@ -64,9 +77,18 @@ fn stop_workers(workers: Vec<Worker>) {
     }
 }
 
+/// `(merged shards, total shards)` from a dispatch checkpoint: the header
+/// line carries the shard count, and each further line is one merged
+/// shard.
+fn checkpoint_progress(ckpt: &Path) -> Option<(usize, usize)> {
+    let text = std::fs::read_to_string(ckpt).ok()?;
+    let checkpoint = Checkpoint::parse(&text).ok()?;
+    Some((checkpoint.shards.len(), checkpoint.shard_count))
+}
+
 fn config() -> SweepConfig {
     SweepConfig {
-        max_n: 1024,
+        max_n: 2048,
         threads: 2,
         shard_size: 4,
         ..SweepConfig::default()
@@ -88,7 +110,7 @@ fn dispatch_with_a_sigkilled_worker_byte_matches_single_process() {
     stream::run(scenario.as_ref(), &config(), &reference_path, &opts).expect("reference run");
     let reference = std::fs::read(&reference_path).expect("reference bytes");
 
-    let workers: Vec<Worker> = (0..4).map(|i| spawn_worker("kill", i)).collect();
+    let mut workers: Vec<Worker> = (0..4).map(|i| spawn_worker("kill", i)).collect();
     let mut options = DispatchOptions::new("section2-sweep-xl", &dispatched_path);
     options.config = config();
     options.workers = workers.iter().map(|w| w.addr.clone()).collect();
@@ -96,21 +118,47 @@ fn dispatch_with_a_sigkilled_worker_byte_matches_single_process() {
     // worker's socket lingers instead of erroring out.
     options.lease = Duration::from_secs(2);
 
-    // SIGKILL the first daemon shortly into the sweep: abrupt process
-    // death, no drain, no goodbye — its in-flight batch must be retried
-    // by the survivors.
-    let victim = workers[0].child.id().to_string();
-    let killer = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(300));
-        let _ = Command::new("kill").args(["-9", &victim]).status();
-    });
+    // SIGKILL the first daemon once a few shards are merged: abrupt
+    // process death, no drain, no goodbye — its in-flight batch and its
+    // share of the remaining shards must go to the survivors.
+    let mut victim = workers.remove(0);
+    let ckpt = Checkpoint::path_for(&dispatched_path);
+    let finished = Arc::new(AtomicBool::new(false));
+    let killer = {
+        let finished = Arc::clone(&finished);
+        std::thread::spawn(move || {
+            let mut killed_at = None;
+            while !finished.load(Ordering::Acquire) {
+                if let Some((merged, total)) = checkpoint_progress(&ckpt) {
+                    if merged >= KILL_AFTER_SHARDS {
+                        victim.child.kill().expect("SIGKILL the victim daemon");
+                        killed_at = Some((merged, total));
+                        break;
+                    }
+                }
+                std::thread::sleep(Duration::from_micros(500));
+            }
+            (victim, killed_at)
+        })
+    };
 
     let result = ld_serve::dispatch(&options);
-    killer.join().expect("killer thread");
+    finished.store(true, Ordering::Release);
+    let (victim, killed_at) = killer.join().expect("killer thread");
+    workers.push(victim);
     stop_workers(workers);
 
     let (summary, stats) = result.expect("dispatch must survive a killed worker");
     assert!(summary.completed, "dispatch summary must be complete");
+    let (merged, total) = killed_at.expect("the dispatch finished before the kill");
+    assert!(
+        merged + SHARDS_LEFT_AT_KILL <= total,
+        "the kill landed after {merged} of {total} shards: too late to prove anything"
+    );
+    assert!(
+        stats.worker_failures + stats.reassigned >= 1,
+        "the killed worker went unnoticed (stats: {stats:?})"
+    );
     let dispatched = std::fs::read(&dispatched_path).expect("dispatched bytes");
     assert_eq!(
         dispatched, reference,
