@@ -31,8 +31,8 @@ fn print_engine_equivalence() {
     eprintln!("E11: view-function engine vs message-passing round engine (grid 12x12, radius 2)");
     let labeled = LabeledGraph::from_fn(generators::grid(12, 12), |v| (v.index() % 5) as u8);
     let input = Input::with_consecutive_ids(labeled).unwrap();
-    let algorithm = FnLocal::new("label-sum-even", 2, |view: &View<u8>| {
-        Verdict::from_bool(view.labels().iter().map(|&l| l as u32).sum::<u32>() % 2 == 0)
+    let algorithm = FnLocal::new("label-sum-even", 2, |view: ViewRef<u8>| {
+        Verdict::from_bool(view.labels().map(|&l| l as u32).sum::<u32>() % 2 == 0)
     });
     let direct = decision::run_local(&input, &algorithm);
     let flooded = engine::run_with_engine(&input, &algorithm);
@@ -190,14 +190,11 @@ fn write_perf_snapshot() {
 
     let labeled = LabeledGraph::from_fn(generators::grid(16, 16), |v| (v.index() % 5) as u8);
     let input = Input::with_consecutive_ids(labeled).unwrap();
-    let algorithm = FnLocal::new("label-sum-even", 2, |view: &View<u8>| {
-        Verdict::from_bool(view.labels().iter().map(|&l| l as u32).sum::<u32>() % 2 == 0)
+    let algorithm = FnLocal::new("label-sum-even", 2, |view: ViewRef<u8>| {
+        Verdict::from_bool(view.labels().map(|&l| l as u32).sum::<u32>() % 2 == 0)
     });
     records.push(perf::measure("engine_view_function_grid16", 3, || {
         decision::run_local(&input, &algorithm).accepted()
-    }));
-    records.push(perf::measure("engine_parallel4_grid16", 3, || {
-        decision::run_local_parallel(&input, &algorithm, 4).accepted()
     }));
 
     match perf::write_bench_json("e11_scaling", &records) {
@@ -248,14 +245,11 @@ fn bench(c: &mut Criterion) {
 
     let labeled = LabeledGraph::from_fn(generators::grid(16, 16), |v| (v.index() % 5) as u8);
     let input = Input::with_consecutive_ids(labeled).unwrap();
-    let algorithm = FnLocal::new("label-sum-even", 2, |view: &View<u8>| {
-        Verdict::from_bool(view.labels().iter().map(|&l| l as u32).sum::<u32>() % 2 == 0)
+    let algorithm = FnLocal::new("label-sum-even", 2, |view: ViewRef<u8>| {
+        Verdict::from_bool(view.labels().map(|&l| l as u32).sum::<u32>() % 2 == 0)
     });
     group.bench_function("engine_view_function_grid16", |b| {
         b.iter(|| decision::run_local(&input, &algorithm).accepted());
-    });
-    group.bench_function("engine_parallel4_grid16", |b| {
-        b.iter(|| decision::run_local_parallel(&input, &algorithm, 4).accepted());
     });
     group.bench_function("engine_message_passing_grid16", |b| {
         b.iter(|| engine::run_with_engine(&input, &algorithm).accepted());

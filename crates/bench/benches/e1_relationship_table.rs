@@ -53,7 +53,7 @@ fn cell_c() -> bool {
 fn cell_not_b_not_c() -> bool {
     // (¬B, ¬C): the Id-oblivious simulation A* reproduces the verdicts of an
     // identifier-reading algorithm, i.e. LD* == LD in this cell.
-    let inner = FnLocal::new("ids-below-1000", 1, |view: &View<u8>| {
+    let inner = FnLocal::new("ids-below-1000", 1, |view: ViewRef<u8>| {
         Verdict::from_bool(view.max_id().unwrap_or(0) < 1_000)
     });
     let simulated = local_decision::local::simulation::ObliviousSimulation::new(inner, 8);

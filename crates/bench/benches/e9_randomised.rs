@@ -37,7 +37,7 @@ fn print_astar_series() {
     eprintln!("E10: Id-oblivious simulation A* (universe sweep) on the max-id decider");
     eprintln!("  universe  accepts-8-cycle");
     for universe in [4u64, 8, 16, 32] {
-        let inner = FnLocal::new("ids-below-16", 1, |view: &View<u8>| {
+        let inner = FnLocal::new("ids-below-16", 1, |view: ViewRef<u8>| {
             Verdict::from_bool(view.max_id().unwrap_or(0) < 16)
         });
         let simulated = ObliviousSimulation::new(inner, universe);
@@ -65,7 +65,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| decision::run_randomized(&input, &decider, &mut rng).accepted());
     });
     group.bench_function("astar_simulation_universe8_cycle8", |b| {
-        let inner = FnLocal::new("ids-below-16", 1, |view: &View<u8>| {
+        let inner = FnLocal::new("ids-below-16", 1, |view: ViewRef<u8>| {
             Verdict::from_bool(view.max_id().unwrap_or(0) < 16)
         });
         let simulated = ObliviousSimulation::new(inner, 8);

@@ -27,13 +27,13 @@
 //! # Quickstart
 //!
 //! ```
-//! use local_decision::local::{decision, FnOblivious, Input, Verdict, ObliviousView};
+//! use local_decision::local::{decision, FnOblivious, Input, Verdict, ObliviousViewRef};
 //! use local_decision::graph::{generators, LabeledGraph};
 //!
 //! // Decide "proper 3-colouring" on a cycle, without identifiers.
 //! let labeled = LabeledGraph::new(generators::cycle(6), vec![0u32, 1, 2, 0, 1, 2])?;
 //! let input = Input::with_consecutive_ids(labeled)?;
-//! let checker = FnOblivious::new("3-colouring", 1, |view: &ObliviousView<u32>| {
+//! let checker = FnOblivious::new("3-colouring", 1, |view: ObliviousViewRef<u32>| {
 //!     let mine = *view.center_label();
 //!     Verdict::from_bool(mine < 3 && view.neighbors_of_center().all(|u| *view.label(u) != mine))
 //! });
@@ -82,7 +82,8 @@ pub mod prelude {
     pub use ld_graph::{generators, Graph, LabeledGraph, NodeId};
     pub use ld_local::{
         decision, enumeration, CacheStats, FnLocal, FnOblivious, IdAssignment, IdBound, Input,
-        LocalAlgorithm, ObliviousAlgorithm, ObliviousView, Property, Verdict, View, ViewCache,
+        LocalAlgorithm, ObliviousAlgorithm, ObliviousView, ObliviousViewRef, Property, Verdict,
+        View, ViewCache, ViewRef,
     };
     pub use ld_runner::{executor as sweep_executor, scenarios, SweepConfig};
     pub use ld_turing::{zoo, Symbol, TuringMachine};

@@ -14,7 +14,7 @@
 
 use ld_graph::{generators, LabeledGraph};
 use ld_local::property::FractionalColoring;
-use ld_local::{ObliviousAlgorithm, ObliviousView, Verdict};
+use ld_local::{ObliviousAlgorithm, ObliviousViewRef, Verdict};
 
 /// The radius-1 Id-oblivious verifier for fractional `(p:q)`-colouring:
 /// accept iff the centre's colour set is well-formed and disjoint from
@@ -50,7 +50,7 @@ impl ObliviousAlgorithm<u64> for FractionalVerifier {
         1
     }
 
-    fn evaluate(&self, view: &ObliviousView<u64>) -> Verdict {
+    fn evaluate(&self, view: ObliviousViewRef<'_, u64>) -> Verdict {
         let center = *view.center_label();
         if !self.property.well_formed(center) {
             return Verdict::No;

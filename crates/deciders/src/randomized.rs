@@ -10,7 +10,7 @@
 //! for the property `P = {G(M, r) : M outputs 0}`.
 
 use ld_constructions::section3::{promise::MachineLabel, Section3Label};
-use ld_local::{ObliviousView, RandomizedObliviousAlgorithm, Verdict};
+use ld_local::{ObliviousViewRef, RandomizedObliviousAlgorithm, Verdict};
 use ld_turing::{RunOutcome, Symbol};
 use rand::RngCore;
 
@@ -59,7 +59,11 @@ impl RandomizedObliviousAlgorithm<Section3Label> for RandomizedGmrDecider {
         1
     }
 
-    fn evaluate(&self, view: &ObliviousView<Section3Label>, rng: &mut dyn RngCore) -> Verdict {
+    fn evaluate(
+        &self,
+        view: ObliviousViewRef<'_, Section3Label>,
+        rng: &mut dyn RngCore,
+    ) -> Verdict {
         let budget = random_budget(rng, self.cap);
         match view.center_label().machine.run(budget) {
             RunOutcome::Halted(halt) if halt.output != Symbol(0) => Verdict::No,
@@ -93,7 +97,7 @@ impl RandomizedObliviousAlgorithm<MachineLabel> for RandomizedPromiseDecider {
         0
     }
 
-    fn evaluate(&self, view: &ObliviousView<MachineLabel>, rng: &mut dyn RngCore) -> Verdict {
+    fn evaluate(&self, view: ObliviousViewRef<'_, MachineLabel>, rng: &mut dyn RngCore) -> Verdict {
         let budget = random_budget(rng, self.cap);
         match view.center_label().machine.run(budget) {
             RunOutcome::Halted(_) => Verdict::No,

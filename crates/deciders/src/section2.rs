@@ -3,8 +3,8 @@
 use ld_constructions::section2::{promise::CycleParamLabel, Coord, Section2Label, Section2Params};
 use ld_local::enumeration::{coverage, distinct_oblivious_views_of};
 use ld_local::{
-    decision, IdAssignment, IdBound, Input, LocalAlgorithm, ObliviousAlgorithm, ObliviousView,
-    Verdict, View,
+    decision, IdAssignment, IdBound, Input, LocalAlgorithm, ObliviousAlgorithm, ObliviousViewRef,
+    Verdict, ViewRef,
 };
 use std::collections::BTreeSet;
 
@@ -31,12 +31,11 @@ impl StructureVerifier {
         StructureVerifier { params }
     }
 
-    fn check_coordinate_node(&self, view: &ObliviousView<Section2Label>, c: Coord) -> bool {
+    fn check_coordinate_node(&self, view: ObliviousViewRef<'_, Section2Label>, c: Coord) -> bool {
         let depth = self.params.big_depth();
         if c.y > depth || c.x >= (1u64 << c.y) {
             return false;
         }
-        let center = view.center();
         let mut neighbor_coords = BTreeSet::new();
         let mut pivot_neighbors = 0usize;
         for u in view.neighbors_of_center() {
@@ -67,11 +66,10 @@ impl StructureVerifier {
         if missing && pivot_neighbors == 0 {
             return false;
         }
-        let _ = center;
         true
     }
 
-    fn check_pivot_node(&self, view: &ObliviousView<Section2Label>) -> bool {
+    fn check_pivot_node(&self, view: ObliviousViewRef<'_, Section2Label>) -> bool {
         let depth = self.params.big_depth();
         let r = self.params.r();
         let mut border = BTreeSet::new();
@@ -121,7 +119,7 @@ impl ObliviousAlgorithm<Section2Label> for StructureVerifier {
         1
     }
 
-    fn evaluate(&self, view: &ObliviousView<Section2Label>) -> Verdict {
+    fn evaluate(&self, view: ObliviousViewRef<'_, Section2Label>) -> Verdict {
         let label = view.center_label();
         if label.r != self.params.r() {
             return Verdict::No;
@@ -170,11 +168,11 @@ impl LocalAlgorithm<Section2Label> for IdBasedDecider {
         1
     }
 
-    fn evaluate(&self, view: &View<Section2Label>) -> Verdict {
+    fn evaluate(&self, view: ViewRef<'_, Section2Label>) -> Verdict {
         if view.center_id() >= self.threshold {
             return Verdict::No;
         }
-        self.verifier.evaluate(&view.to_oblivious())
+        self.verifier.evaluate(view.without_ids())
     }
 }
 
@@ -290,7 +288,7 @@ impl LocalAlgorithm<CycleParamLabel> for PromiseIdDecider {
         0
     }
 
-    fn evaluate(&self, view: &View<CycleParamLabel>) -> Verdict {
+    fn evaluate(&self, view: ViewRef<'_, CycleParamLabel>) -> Verdict {
         let r = view.center_label().r;
         Verdict::from_bool(view.center_id() < self.bound.apply(r))
     }

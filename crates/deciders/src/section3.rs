@@ -5,8 +5,10 @@ use ld_constructions::section3::{
     build_gmr, neighborhood_generator, promise::MachineLabel, Section3Label,
 };
 
-use ld_local::ObliviousView;
-use ld_local::{decision, IdAssignment, Input, LocalAlgorithm, ObliviousAlgorithm, Verdict, View};
+use ld_local::{
+    decision, IdAssignment, Input, LocalAlgorithm, ObliviousAlgorithm, ObliviousViewRef, Verdict,
+    ViewRef,
+};
 use ld_turing::{zoo::MachineSpec, RunOutcome, Symbol, TuringMachine};
 
 /// The two-stage identifier-reading decider of Theorem 2 (`P ∈ LD` under
@@ -33,13 +35,13 @@ impl TwoStageIdDecider {
         TwoStageIdDecider { fuel_cap }
     }
 
-    fn structure_ok(view: &View<Section3Label>) -> bool {
+    fn structure_ok(view: ViewRef<'_, Section3Label>) -> bool {
         // Stage 1 (pragmatic subset of (P2)): every visible node announces
         // the same machine and locality parameter, and the mod-3 coordinates
         // are in range.  The exact global structure test is
         // `ld_constructions::section3::GmrOutputsZeroProperty`.
         let center = view.center_label();
-        view.graph().nodes().all(|v| {
+        view.nodes().all(|v| {
             let l = view.label(v);
             l.machine == center.machine && l.r == center.r && l.x_mod3 < 3 && l.y_mod3 < 3
         })
@@ -55,7 +57,7 @@ impl LocalAlgorithm<Section3Label> for TwoStageIdDecider {
         1
     }
 
-    fn evaluate(&self, view: &View<Section3Label>) -> Verdict {
+    fn evaluate(&self, view: ViewRef<'_, Section3Label>) -> Verdict {
         if !Self::structure_ok(view) {
             return Verdict::No;
         }
@@ -104,7 +106,7 @@ impl ObliviousAlgorithm<Section3Label> for FuelBoundedObliviousCandidate {
         1
     }
 
-    fn evaluate(&self, view: &ObliviousView<Section3Label>) -> Verdict {
+    fn evaluate(&self, view: ObliviousViewRef<'_, Section3Label>) -> Verdict {
         match view.center_label().machine.run(self.fuel) {
             RunOutcome::Halted(halt) if halt.output != Symbol(0) => Verdict::No,
             _ => Verdict::Yes,
@@ -153,7 +155,9 @@ where
     A: ObliviousAlgorithm<Section3Label>,
 {
     let views = neighborhood_generator(machine, r, source)?;
-    Ok(views.iter().all(|v| candidate.evaluate(v).is_yes()))
+    Ok(views
+        .iter()
+        .all(|v| candidate.evaluate(v.as_view()).is_yes()))
 }
 
 /// The outcome of running the separation harness on a machine zoo.
@@ -227,7 +231,7 @@ impl LocalAlgorithm<MachineLabel> for PromiseHaltingDecider {
         0
     }
 
-    fn evaluate(&self, view: &View<MachineLabel>) -> Verdict {
+    fn evaluate(&self, view: ViewRef<'_, MachineLabel>) -> Verdict {
         let budget = view.center_id().min(self.fuel_cap);
         match view.center_label().machine.run(budget) {
             RunOutcome::Halted(_) => Verdict::No,

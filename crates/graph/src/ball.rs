@@ -98,6 +98,220 @@ impl Ball {
     }
 }
 
+/// A ball `B(v, t)` read in place: the same ball-local numbering,
+/// distances and induced adjacency as the [`Ball`] it stands for, borrowed
+/// from where they already live instead of copied out.
+///
+/// A `BallRef` comes from one of two places:
+///
+/// * [`BallExtractor::scan`]: the extractor's BFS scratch (members in
+///   `(distance, original id)` order, positions, distances) over the host
+///   graph, whose rows are filtered by membership on the fly.  Nothing is
+///   materialised; [`BallRef::to_ball`] builds exactly the [`Ball`] that
+///   [`BallExtractor::extract`] would have returned.
+/// * [`BallRef::whole`]: a graph that *is* the ball (an owned view's graph),
+///   with the identity mapping.
+///
+/// It is `Copy`, so deciders take it by value.
+#[derive(Debug, Clone, Copy)]
+pub struct BallRef<'a> {
+    graph: &'a Graph,
+    center: NodeId,
+    radius: usize,
+    layout: Layout<'a>,
+}
+
+/// Where a [`BallRef`]'s members live.
+#[derive(Debug, Clone, Copy)]
+enum Layout<'a> {
+    /// A [`BallExtractor`]'s scratch over the host graph: ball-local node
+    /// `i` is `members[i]`; `position` and `dist` are indexed by host node
+    /// and hold `UNSEEN` outside the ball.
+    Scratch {
+        members: &'a [NodeId],
+        position: &'a [u32],
+        dist: &'a [u32],
+    },
+    /// The graph is the ball itself: ball-local node `i` is node `i`, and
+    /// `distances` is indexed by it.
+    Whole { distances: &'a [usize] },
+}
+
+impl<'a> BallRef<'a> {
+    /// Lends a graph that is a whole ball — the identity mapping — given its
+    /// centre, radius and per-node distances from the centre.  This is how
+    /// an owned view hands out the borrowed form.
+    pub fn whole(graph: &'a Graph, center: NodeId, radius: usize, distances: &'a [usize]) -> Self {
+        debug_assert_eq!(graph.node_count(), distances.len());
+        BallRef {
+            graph,
+            center,
+            radius,
+            layout: Layout::Whole { distances },
+        }
+    }
+
+    /// The centre, in ball-local numbering.
+    pub fn center(&self) -> NodeId {
+        self.center
+    }
+
+    /// The radius this ball was extracted with.
+    pub fn radius(&self) -> usize {
+        self.radius
+    }
+
+    /// Number of nodes in the ball.
+    pub fn node_count(&self) -> usize {
+        match self.layout {
+            Layout::Scratch { members, .. } => members.len(),
+            Layout::Whole { distances } => distances.len(),
+        }
+    }
+
+    /// The ball-local nodes, in ball-local order.
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
+        (0..self.node_count()).map(NodeId::from)
+    }
+
+    /// Maps a ball-local node to the node of the graph the ball was read
+    /// from (itself, for [`BallRef::whole`]).
+    #[inline]
+    pub fn original(&self, local: NodeId) -> NodeId {
+        match self.layout {
+            Layout::Scratch { members, .. } => members[local.index()],
+            Layout::Whole { .. } => local,
+        }
+    }
+
+    /// Distance from the centre to a ball-local node.
+    #[inline]
+    pub fn distance(&self, local: NodeId) -> usize {
+        match self.layout {
+            Layout::Scratch { members, dist, .. } => dist[members[local.index()].index()] as usize,
+            Layout::Whole { distances } => distances[local.index()],
+        }
+    }
+
+    /// The ball-local neighbours of a ball-local node in the induced
+    /// subgraph, in increasing ball-local order — the row
+    /// [`Ball::graph`] would hold.
+    pub fn neighbors(&self, local: NodeId) -> BallNeighbors<'a> {
+        match self.layout {
+            Layout::Scratch {
+                members,
+                position,
+                dist,
+            } => {
+                // Ball-local order is (distance, original id) and a host row
+                // is sorted by original id, so reading the row once per
+                // layer d-1, d, d+1 (those inside the radius; the centre has
+                // no layer -1 and no other node in layer 0) yields the
+                // in-ball neighbours in increasing ball-local order.
+                let d = dist[members[local.index()].index()];
+                BallNeighbors {
+                    row: self.graph.row(members[local.index()]),
+                    next: 0,
+                    layer: if d == 0 { 1 } else { d - 1 },
+                    last_layer: (d + 1).min(self.radius as u32),
+                    scratch: Some((position, dist)),
+                }
+            }
+            Layout::Whole { .. } => BallNeighbors {
+                row: self.graph.row(local),
+                next: 0,
+                layer: 0,
+                last_layer: 0,
+                scratch: None,
+            },
+        }
+    }
+
+    /// The ball-local nodes at exactly distance `d` from the centre, in
+    /// ball-local order.
+    pub fn sphere(&self, d: usize) -> impl Iterator<Item = NodeId> + 'a {
+        let ball = *self;
+        self.nodes().filter(move |&v| ball.distance(v) == d)
+    }
+
+    /// Materialises the ball: for a scanned ball, exactly the [`Ball`]
+    /// [`BallExtractor::extract`] returns for the same centre and radius.
+    pub fn to_ball(&self) -> Ball {
+        match self.layout {
+            Layout::Scratch {
+                members,
+                position,
+                dist,
+            } => Ball {
+                // Induced subgraph on the members, in member order, written
+                // straight into CSR rows.
+                graph: Graph::from_rows(members.len(), |new_u, row| {
+                    row.extend(
+                        self.graph
+                            .row(members[new_u])
+                            .iter()
+                            .map(|orig_v| position[orig_v.index()])
+                            .filter(|&new_v| new_v != UNSEEN)
+                            .map(NodeId),
+                    );
+                }),
+                center: self.center,
+                radius: self.radius,
+                mapping: members.to_vec(),
+                distances: members.iter().map(|&v| dist[v.index()] as usize).collect(),
+            },
+            Layout::Whole { distances } => Ball {
+                graph: self.graph.clone(),
+                center: self.center,
+                radius: self.radius,
+                mapping: self.nodes().collect(),
+                distances: distances.to_vec(),
+            },
+        }
+    }
+}
+
+/// The in-ball neighbours of one node, returned by [`BallRef::neighbors`].
+#[derive(Debug, Clone)]
+pub struct BallNeighbors<'a> {
+    /// The node's row in the graph the ball was read from.
+    row: &'a [NodeId],
+    /// Next index into `row` for the current layer.
+    next: usize,
+    /// The distance layer this pass over `row` admits.
+    layer: u32,
+    /// The last layer to pass over (inclusive).
+    last_layer: u32,
+    /// `(position, dist)` of a scratch ball; `None` for a whole graph,
+    /// whose row is read once, unfiltered.
+    scratch: Option<(&'a [u32], &'a [u32])>,
+}
+
+impl Iterator for BallNeighbors<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        loop {
+            let Some(&w) = self.row.get(self.next) else {
+                if self.layer >= self.last_layer {
+                    return None;
+                }
+                self.layer += 1;
+                self.next = 0;
+                continue;
+            };
+            self.next += 1;
+            match self.scratch {
+                None => return Some(w),
+                Some((position, dist)) if dist[w.index()] == self.layer => {
+                    return Some(NodeId(position[w.index()]));
+                }
+                Some(_) => {}
+            }
+        }
+    }
+}
+
 impl Graph {
     /// Extracts the ball `B(v, t)`: the induced subgraph on all nodes within
     /// distance `radius` of `center`.
@@ -273,8 +487,38 @@ impl BallExtractor {
     ///
     /// Returns an error if `center` is out of range.
     pub fn extract(&mut self, graph: &Graph, center: NodeId, radius: usize) -> Result<Ball> {
+        Ok(self.scan(graph, center, radius)?.to_ball())
+    }
+
+    /// The BFS-only form of [`BallExtractor::extract`]: runs the bounded
+    /// BFS for `B(center, radius)` and lends the ball straight from the
+    /// scratch buffers, materialising nothing.  The [`BallRef`] has the
+    /// ball-local numbering, distances and induced adjacency of the
+    /// [`Ball`] `extract` returns, and borrows this extractor until it is
+    /// dropped.
+    ///
+    /// ```
+    /// use ld_graph::{generators, BallExtractor, NodeId};
+    ///
+    /// let g = generators::cycle(32);
+    /// let mut extractor = BallExtractor::new();
+    /// let ball = extractor.scan(&g, NodeId(7), 2).unwrap();
+    /// assert_eq!(ball.node_count(), 5);
+    /// assert_eq!(ball.original(ball.center()), NodeId(7));
+    /// assert_eq!(ball.to_ball(), g.ball(NodeId(7), 2));
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `center` is out of range.
+    pub fn scan<'a>(
+        &'a mut self,
+        graph: &'a Graph,
+        center: NodeId,
+        radius: usize,
+    ) -> Result<BallRef<'a>> {
         self.bounded_bfs(graph, center, radius)?;
-        Ok(self.materialize(graph, center, radius))
+        Ok(self.lend(graph, center, radius))
     }
 
     /// Budget-aware variant of [`BallExtractor::extract`]: extracts
@@ -303,7 +547,7 @@ impl BallExtractor {
         if !self.advance_bfs(graph, center, radius, max_nodes) {
             return Ok(None);
         }
-        Ok(Some(self.materialize(graph, center, radius)))
+        Ok(Some(self.lend(graph, center, radius).to_ball()))
     }
 
     /// Extends the BFS currently in the scratch buffers out to a larger
@@ -394,36 +638,22 @@ impl BallExtractor {
         let (center, radius) = self
             .current
             .expect("materialize_current requires a prior exact_key/extract call");
-        self.materialize(graph, center, radius)
+        self.lend(graph, center, radius).to_ball()
     }
 
-    /// Builds the [`Ball`] for the BFS currently held in the scratch
-    /// buffers.  `graph`, `center` and `radius` must be the arguments of
+    /// Lends the BFS currently held in the scratch buffers as a
+    /// [`BallRef`].  `graph`, `center` and `radius` must be the arguments of
     /// that BFS.
-    fn materialize(&self, graph: &Graph, center: NodeId, radius: usize) -> Ball {
-        // Induced subgraph on the members, in member order, written
-        // straight into CSR rows.
-        let sub = Graph::from_rows(self.members.len(), |new_u, row| {
-            row.extend(
-                graph
-                    .neighbors(self.members[new_u])
-                    .map(|orig_v| self.position[orig_v.index()])
-                    .filter(|&new_v| new_v != UNSEEN)
-                    .map(NodeId),
-            );
-        });
-
-        let distances = self
-            .members
-            .iter()
-            .map(|&v| self.dist[v.index()] as usize)
-            .collect();
-        Ball {
-            graph: sub,
-            center: NodeId::from(self.position[center.index()] as usize),
+    fn lend<'a>(&'a self, graph: &'a Graph, center: NodeId, radius: usize) -> BallRef<'a> {
+        BallRef {
+            graph,
+            center: NodeId(self.position[center.index()]),
             radius,
-            mapping: self.members.clone(),
-            distances,
+            layout: Layout::Scratch {
+                members: &self.members,
+                position: &self.position,
+                dist: &self.dist,
+            },
         }
     }
 

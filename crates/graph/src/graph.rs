@@ -213,7 +213,7 @@ impl Graph {
 
     /// The sorted neighbour row of `v`.  Panics if `v` is out of range.
     #[inline]
-    fn row(&self, v: NodeId) -> &[NodeId] {
+    pub(crate) fn row(&self, v: NodeId) -> &[NodeId] {
         let v = v.index();
         &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }

@@ -63,7 +63,7 @@ pub mod labeled;
 pub mod ports;
 pub mod traversal;
 
-pub use ball::{Ball, BallExtractor};
+pub use ball::{Ball, BallExtractor, BallNeighbors, BallRef};
 pub use canon::{canonical_code, centered_canonical_code, CanonicalCode};
 pub use error::GraphError;
 pub use fastcanon::CanonScratch;

@@ -1,7 +1,7 @@
 //! Algorithm traits: local, Id-oblivious, order-invariant and randomised
 //! deciders.
 
-use crate::view::{ObliviousView, View};
+use crate::view::{ObliviousViewRef, ViewRef};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -47,6 +47,10 @@ impl fmt::Display for Verdict {
 
 /// A deterministic local algorithm with constant horizon: a function of the
 /// radius-`t` view *including identifiers* (the class behind LD).
+///
+/// Views are passed as borrowed, `Copy` [`ViewRef`]s: reading a label, an
+/// identifier or a neighbour costs a lookup, and an algorithm that needs an
+/// owned value asks for [`ViewRef::to_owned`].
 pub trait LocalAlgorithm<L> {
     /// A short human-readable name for reports.
     fn name(&self) -> &str;
@@ -55,7 +59,7 @@ pub trait LocalAlgorithm<L> {
     fn radius(&self) -> usize;
 
     /// The output of the algorithm at a node with the given view.
-    fn evaluate(&self, view: &View<L>) -> Verdict;
+    fn evaluate(&self, view: ViewRef<'_, L>) -> Verdict;
 }
 
 /// A deterministic **Id-oblivious** local algorithm: a function of the
@@ -68,7 +72,7 @@ pub trait ObliviousAlgorithm<L> {
     fn radius(&self) -> usize;
 
     /// The output of the algorithm at a node with the given oblivious view.
-    fn evaluate(&self, view: &ObliviousView<L>) -> Verdict;
+    fn evaluate(&self, view: ObliviousViewRef<'_, L>) -> Verdict;
 }
 
 /// An order-invariant algorithm (the OI model of the related-work section):
@@ -84,7 +88,7 @@ pub trait OrderInvariantAlgorithm<L> {
 
     /// The output at a node whose view carries rank-normalised identifiers
     /// (`0..k` in the order of the original identifiers).
-    fn evaluate_ranked(&self, view: &View<L>) -> Verdict;
+    fn evaluate_ranked(&self, view: ViewRef<'_, L>) -> Verdict;
 }
 
 /// A randomised Id-oblivious algorithm: each node additionally reads a
@@ -98,16 +102,16 @@ pub trait RandomizedObliviousAlgorithm<L> {
 
     /// The output of the algorithm at a node with the given oblivious view
     /// and private randomness.
-    fn evaluate(&self, view: &ObliviousView<L>, rng: &mut dyn RngCore) -> Verdict;
+    fn evaluate(&self, view: ObliviousViewRef<'_, L>, rng: &mut dyn RngCore) -> Verdict;
 }
 
 /// Adapter running an Id-oblivious algorithm in the full LOCAL model by
-/// simply ignoring the identifiers.  This is the trivial inclusion
-/// LD\* ⊆ LD.
+/// simply ignoring the identifiers (dropped on the borrow, nothing is
+/// copied).  This is the trivial inclusion LD\* ⊆ LD.
 #[derive(Debug, Clone)]
 pub struct ObliviousAsLocal<A>(pub A);
 
-impl<L: Clone, A: ObliviousAlgorithm<L>> LocalAlgorithm<L> for ObliviousAsLocal<A> {
+impl<L, A: ObliviousAlgorithm<L>> LocalAlgorithm<L> for ObliviousAsLocal<A> {
     fn name(&self) -> &str {
         self.0.name()
     }
@@ -116,18 +120,19 @@ impl<L: Clone, A: ObliviousAlgorithm<L>> LocalAlgorithm<L> for ObliviousAsLocal<
         self.0.radius()
     }
 
-    fn evaluate(&self, view: &View<L>) -> Verdict {
-        self.0.evaluate(&view.to_oblivious())
+    fn evaluate(&self, view: ViewRef<'_, L>) -> Verdict {
+        self.0.evaluate(view.without_ids())
     }
 }
 
 /// Adapter running an order-invariant algorithm in the full LOCAL model by
 /// rank-normalising the identifiers of every view before evaluation, which
-/// guarantees order-invariance by construction.
+/// guarantees order-invariance by construction.  The ranks are overlaid on
+/// the borrowed view; only the rank vector is allocated.
 #[derive(Debug, Clone)]
 pub struct OrderInvariantAsLocal<A>(pub A);
 
-impl<L: Clone, A: OrderInvariantAlgorithm<L>> LocalAlgorithm<L> for OrderInvariantAsLocal<A> {
+impl<L, A: OrderInvariantAlgorithm<L>> LocalAlgorithm<L> for OrderInvariantAsLocal<A> {
     fn name(&self) -> &str {
         self.0.name()
     }
@@ -136,23 +141,15 @@ impl<L: Clone, A: OrderInvariantAlgorithm<L>> LocalAlgorithm<L> for OrderInvaria
         self.0.radius()
     }
 
-    fn evaluate(&self, view: &View<L>) -> Verdict {
-        let mut sorted: Vec<u64> = view.ids().to_vec();
+    fn evaluate(&self, view: ViewRef<'_, L>) -> Verdict {
+        let mut sorted: Vec<u64> = view.ids().collect();
         sorted.sort_unstable();
         let ranks: Vec<u64> = view
             .ids()
-            .iter()
-            // ld-analyze: allow(D004, reason = "invariant: sorted is a sorted copy of the same ids vector, so every id is found")
-            .map(|id| sorted.binary_search(id).expect("id is present") as u64)
+            // ld-analyze: allow(D004, reason = "invariant: sorted is a sorted copy of the same ids, so every id is found")
+            .map(|id| sorted.binary_search(&id).expect("id is present") as u64)
             .collect();
-        let ranked = View::from_parts(
-            view.graph().clone(),
-            view.center(),
-            view.radius(),
-            view.labels().to_vec(),
-            ranks,
-        );
-        self.0.evaluate_ranked(&ranked)
+        self.0.evaluate_ranked(view.with_ids(&ranks))
     }
 }
 
@@ -185,7 +182,7 @@ impl<F> fmt::Debug for FnLocal<F> {
     }
 }
 
-impl<L, F: Fn(&View<L>) -> Verdict> LocalAlgorithm<L> for FnLocal<F> {
+impl<L, F: Fn(ViewRef<'_, L>) -> Verdict> LocalAlgorithm<L> for FnLocal<F> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -194,7 +191,7 @@ impl<L, F: Fn(&View<L>) -> Verdict> LocalAlgorithm<L> for FnLocal<F> {
         self.radius
     }
 
-    fn evaluate(&self, view: &View<L>) -> Verdict {
+    fn evaluate(&self, view: ViewRef<'_, L>) -> Verdict {
         (self.f)(view)
     }
 }
@@ -228,7 +225,7 @@ impl<F> fmt::Debug for FnOblivious<F> {
     }
 }
 
-impl<L, F: Fn(&ObliviousView<L>) -> Verdict> ObliviousAlgorithm<L> for FnOblivious<F> {
+impl<L, F: Fn(ObliviousViewRef<'_, L>) -> Verdict> ObliviousAlgorithm<L> for FnOblivious<F> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -237,7 +234,7 @@ impl<L, F: Fn(&ObliviousView<L>) -> Verdict> ObliviousAlgorithm<L> for FnOblivio
         self.radius
     }
 
-    fn evaluate(&self, view: &ObliviousView<L>) -> Verdict {
+    fn evaluate(&self, view: ObliviousViewRef<'_, L>) -> Verdict {
         (self.f)(view)
     }
 }
@@ -255,7 +252,7 @@ impl<L> ObliviousAlgorithm<L> for AlwaysYes {
         0
     }
 
-    fn evaluate(&self, _view: &ObliviousView<L>) -> Verdict {
+    fn evaluate(&self, _view: ObliviousViewRef<'_, L>) -> Verdict {
         Verdict::Yes
     }
 }
@@ -273,7 +270,7 @@ impl<L> ObliviousAlgorithm<L> for AlwaysNo {
         0
     }
 
-    fn evaluate(&self, _view: &ObliviousView<L>) -> Verdict {
+    fn evaluate(&self, _view: ObliviousViewRef<'_, L>) -> Verdict {
         Verdict::No
     }
 }
@@ -303,12 +300,12 @@ mod tests {
 
     #[test]
     fn fn_wrappers_expose_metadata() {
-        let local = FnLocal::new("check", 2, |_: &View<u8>| Verdict::Yes);
+        let local = FnLocal::new("check", 2, |_: ViewRef<u8>| Verdict::Yes);
         assert_eq!(LocalAlgorithm::<u8>::name(&local), "check");
         assert_eq!(LocalAlgorithm::<u8>::radius(&local), 2);
         assert!(format!("{local:?}").contains("check"));
 
-        let oblivious = FnOblivious::new("ob", 1, |_: &ObliviousView<u8>| Verdict::No);
+        let oblivious = FnOblivious::new("ob", 1, |_: ObliviousViewRef<u8>| Verdict::No);
         assert_eq!(ObliviousAlgorithm::<u8>::name(&oblivious), "ob");
         assert!(format!("{oblivious:?}").contains("ob"));
     }
@@ -316,14 +313,14 @@ mod tests {
     #[test]
     fn oblivious_as_local_ignores_ids() {
         // An algorithm that answers Yes iff the centre label is 0.
-        let oblivious = FnOblivious::new("label-zero", 0, |v: &ObliviousView<u8>| {
+        let oblivious = FnOblivious::new("label-zero", 0, |v: ObliviousViewRef<u8>| {
             Verdict::from_bool(*v.center_label() == 0)
         });
         let local = ObliviousAsLocal(oblivious);
         let a = input_with_ids(vec![5, 6, 7]).view(NodeId(1), 0);
         let b = input_with_ids(vec![100, 200, 300]).view(NodeId(1), 0);
-        assert_eq!(local.evaluate(&a), local.evaluate(&b));
-        assert_eq!(local.evaluate(&a), Verdict::Yes);
+        assert_eq!(local.evaluate(a.as_view()), local.evaluate(b.as_view()));
+        assert_eq!(local.evaluate(a.as_view()), Verdict::Yes);
     }
 
     #[test]
@@ -334,9 +331,15 @@ mod tests {
         let small = input_with_ids(vec![1, 2, 0]);
         let large = input_with_ids(vec![100, 900, 3]);
         // Same relative order (middle node has the max) in both inputs.
-        assert_eq!(oi.evaluate(&small.view(NodeId(1), 1)), Verdict::Yes);
-        assert_eq!(oi.evaluate(&large.view(NodeId(1), 1)), Verdict::Yes);
-        assert_eq!(oi.evaluate(&small.view(NodeId(0), 1)), Verdict::No);
+        assert_eq!(
+            oi.evaluate(small.view(NodeId(1), 1).as_view()),
+            Verdict::Yes
+        );
+        assert_eq!(
+            oi.evaluate(large.view(NodeId(1), 1).as_view()),
+            Verdict::Yes
+        );
+        assert_eq!(oi.evaluate(small.view(NodeId(0), 1).as_view()), Verdict::No);
     }
 
     struct RankTop;
@@ -350,8 +353,8 @@ mod tests {
             1
         }
 
-        fn evaluate_ranked(&self, view: &View<u8>) -> Verdict {
-            let max = view.ids().iter().copied().max().unwrap_or(0);
+        fn evaluate_ranked(&self, view: ViewRef<u8>) -> Verdict {
+            let max = view.max_id().unwrap_or(0);
             Verdict::from_bool(view.center_id() == max)
         }
     }
@@ -361,11 +364,11 @@ mod tests {
         let input = input_with_ids(vec![0, 1]);
         let v = input.oblivious_view(NodeId(0), 0);
         assert_eq!(
-            ObliviousAlgorithm::<u8>::evaluate(&AlwaysYes, &v),
+            ObliviousAlgorithm::<u8>::evaluate(&AlwaysYes, v.as_view()),
             Verdict::Yes
         );
         assert_eq!(
-            ObliviousAlgorithm::<u8>::evaluate(&AlwaysNo, &v),
+            ObliviousAlgorithm::<u8>::evaluate(&AlwaysNo, v.as_view()),
             Verdict::No
         );
         assert_eq!(ObliviousAlgorithm::<u8>::radius(&AlwaysYes), 0);

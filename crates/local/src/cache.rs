@@ -418,7 +418,7 @@ mod tests {
         for view in &views {
             let verdict = cache.verdict("even-degree", view, |v| {
                 evaluations += 1;
-                Verdict::from_bool(v.neighbors_of_center().count() % 2 == 0)
+                Verdict::from_bool(v.as_view().neighbors_of_center().count() % 2 == 0)
             });
             assert_eq!(verdict, Verdict::Yes);
         }
@@ -497,7 +497,7 @@ mod tests {
         for view in &views {
             let verdict = cache.verdict("even-degree", view, |v| {
                 evaluations += 1;
-                Verdict::from_bool(v.neighbors_of_center().count() % 2 == 0)
+                Verdict::from_bool(v.as_view().neighbors_of_center().count() % 2 == 0)
             });
             assert_eq!(verdict, Verdict::Yes);
         }

@@ -1,6 +1,17 @@
 //! Decision semantics: running a local algorithm on every node of an input
 //! and aggregating the per-node verdicts, plus correctness checking against a
 //! property and Monte-Carlo estimation for randomised deciders.
+//!
+//! The loops hand each node's view to the algorithm as a borrowed
+//! [`ViewRef`](crate::ViewRef) / [`ObliviousViewRef`](crate::ObliviousViewRef)
+//! ([`Input::view_in`]): one [`BallExtractor`] runs the node's bounded BFS,
+//! and the view reads the extractor's scratch, the input's labels and its
+//! identifiers in place, so no graph, label vector or identifier vector is
+//! built per node.  Nodes are visited in node order, so a randomised
+//! algorithm draws from its stream in that order.  Views stay owned in two
+//! places, both of which need values: [`run_oblivious_cached`], whose memo
+//! is keyed by the exact view, and view enumeration
+//! ([`crate::enumeration`]), whose results outlive the extractor.
 
 use crate::algorithm::{LocalAlgorithm, ObliviousAlgorithm, RandomizedObliviousAlgorithm, Verdict};
 use crate::cache::ViewCache;
@@ -71,22 +82,19 @@ impl Decision {
 }
 
 /// Runs a (possibly identifier-reading) local algorithm on every node.
-pub fn run_local<L: Clone, A: LocalAlgorithm<L> + ?Sized>(
-    input: &Input<L>,
-    algorithm: &A,
-) -> Decision {
+pub fn run_local<L, A: LocalAlgorithm<L> + ?Sized>(input: &Input<L>, algorithm: &A) -> Decision {
     let radius = algorithm.radius();
     let mut extractor = BallExtractor::new();
     let verdicts = input
         .graph()
         .nodes()
-        .map(|v| algorithm.evaluate(&input.view_with(&mut extractor, v, radius)))
+        .map(|v| algorithm.evaluate(input.view_in(&mut extractor, v, radius)))
         .collect();
     Decision::new(algorithm.name(), verdicts)
 }
 
 /// Runs an Id-oblivious algorithm on every node.
-pub fn run_oblivious<L: Clone, A: ObliviousAlgorithm<L> + ?Sized>(
+pub fn run_oblivious<L, A: ObliviousAlgorithm<L> + ?Sized>(
     input: &Input<L>,
     algorithm: &A,
 ) -> Decision {
@@ -95,7 +103,7 @@ pub fn run_oblivious<L: Clone, A: ObliviousAlgorithm<L> + ?Sized>(
     let verdicts = input
         .graph()
         .nodes()
-        .map(|v| algorithm.evaluate(&input.oblivious_view_with(&mut extractor, v, radius)))
+        .map(|v| algorithm.evaluate(input.oblivious_view_in(&mut extractor, v, radius)))
         .collect();
     Decision::new(algorithm.name(), verdicts)
 }
@@ -113,6 +121,11 @@ pub fn run_oblivious<L: Clone, A: ObliviousAlgorithm<L> + ?Sized>(
 /// the algorithm costs more than a lookup: on `G(M, r)` with cheap
 /// candidates the lookup costs about 5× the verdict it saves (measured
 /// on [`ViewCache::verdict`]), so `section3-sweep` calls [`run_oblivious`].
+///
+/// This is the one decision loop that builds an owned
+/// [`ObliviousView`](crate::ObliviousView) per node: the memo is keyed by
+/// the exact view value.  The algorithm still reads it through
+/// [`ObliviousView::as_view`](crate::ObliviousView::as_view).
 pub fn run_oblivious_cached<L, A>(input: &Input<L>, algorithm: &A, cache: &ViewCache<L>) -> Decision
 where
     L: Clone + Eq + Hash + Send + Sync,
@@ -126,43 +139,15 @@ where
         .nodes()
         .map(|v| {
             let view = input.oblivious_view_with(&mut extractor, v, radius);
-            cache.verdict(name, &view, |view| algorithm.evaluate(view))
+            cache.verdict(name, &view, |view| algorithm.evaluate(view.as_view()))
         })
         .collect();
     Decision::new(name, verdicts)
 }
 
-/// Runs a local algorithm on every node using one OS thread per chunk of
-/// nodes.  Results are identical to [`run_local`]; this exists for the
-/// engineering benchmarks (experiment E11) and for large instances.
-pub fn run_local_parallel<L, A>(input: &Input<L>, algorithm: &A, threads: usize) -> Decision
-where
-    L: Clone + Send + Sync,
-    A: LocalAlgorithm<L> + Sync,
-{
-    let n = input.node_count();
-    let threads = threads.clamp(1, n.max(1));
-    let radius = algorithm.radius();
-    let chunk = n.div_ceil(threads);
-    let mut verdicts = vec![Verdict::Yes; n];
-    std::thread::scope(|scope| {
-        for (worker, slice) in verdicts.chunks_mut(chunk).enumerate() {
-            let start = worker * chunk;
-            scope.spawn(move || {
-                let mut extractor = BallExtractor::new();
-                for (offset, out) in slice.iter_mut().enumerate() {
-                    let v = NodeId::from(start + offset);
-                    *out = algorithm.evaluate(&input.view_with(&mut extractor, v, radius));
-                }
-            });
-        }
-    });
-    Decision::new(algorithm.name(), verdicts)
-}
-
 /// Runs a randomised Id-oblivious algorithm on every node, drawing each
-/// node's private randomness from `rng`.
-pub fn run_randomized<L: Clone, A: RandomizedObliviousAlgorithm<L> + ?Sized, R: Rng>(
+/// node's private randomness from `rng` in node order.
+pub fn run_randomized<L, A: RandomizedObliviousAlgorithm<L> + ?Sized, R: Rng>(
     input: &Input<L>,
     algorithm: &A,
     rng: &mut R,
@@ -172,7 +157,7 @@ pub fn run_randomized<L: Clone, A: RandomizedObliviousAlgorithm<L> + ?Sized, R: 
     let verdicts = input
         .graph()
         .nodes()
-        .map(|v| algorithm.evaluate(&input.oblivious_view_with(&mut extractor, v, radius), rng))
+        .map(|v| algorithm.evaluate(input.oblivious_view_in(&mut extractor, v, radius), rng))
         .collect();
     Decision::new(algorithm.name(), verdicts)
 }
@@ -318,7 +303,7 @@ mod tests {
     use crate::algorithm::{FnLocal, FnOblivious};
     use crate::ids::IdAssignment;
     use crate::property::ProperColoring;
-    use crate::view::{ObliviousView, View};
+    use crate::view::{ObliviousViewRef, ViewRef};
     use ld_graph::{generators, LabeledGraph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -329,8 +314,8 @@ mod tests {
         Input::new(lg, IdAssignment::consecutive(n)).unwrap()
     }
 
-    fn coloring_checker() -> FnOblivious<impl Fn(&ObliviousView<u32>) -> Verdict> {
-        FnOblivious::new("proper-3-colouring", 1, |view: &ObliviousView<u32>| {
+    fn coloring_checker() -> FnOblivious<impl Fn(ObliviousViewRef<u32>) -> Verdict> {
+        FnOblivious::new("proper-3-colouring", 1, |view: ObliviousViewRef<u32>| {
             let mine = *view.center_label();
             let ok = mine < 3
                 && view
@@ -383,19 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_matches_sequential() {
-        let algorithm = FnLocal::new("max-id-small", 1, |view: &View<u32>| {
-            Verdict::from_bool(view.max_id().unwrap_or(0) < 1_000)
-        });
-        let input = colored_cycle((0..40).map(|i| i % 3).collect());
-        let seq = run_local(&input, &algorithm);
-        for threads in [1, 2, 3, 8, 64] {
-            let par = run_local_parallel(&input, &algorithm, threads);
-            assert_eq!(seq.verdicts(), par.verdicts());
-        }
-    }
-
-    #[test]
     fn check_decides_reports_errors() {
         let property = ProperColoring::new(3);
         let algorithm = coloring_checker();
@@ -409,7 +381,7 @@ mod tests {
         assert_eq!(report.total(), 3);
 
         // An always-yes algorithm errs exactly on the no-instance.
-        let lazy = FnOblivious::new("lazy", 0, |_: &ObliviousView<u32>| Verdict::Yes);
+        let lazy = FnOblivious::new("lazy", 0, |_: ObliviousViewRef<u32>| Verdict::Yes);
         let report = check_decides_oblivious(&property, &lazy, &inputs);
         assert!(!report.all_correct());
         assert_eq!(report.errors, vec![(1, false, true)]);
@@ -422,7 +394,7 @@ mod tests {
         let property = crate::property::FnProperty::new("small-graph", |g: &LabeledGraph<u32>| {
             g.node_count() <= 10
         });
-        let algorithm = FnLocal::new("id-below-100", 0, |view: &View<u32>| {
+        let algorithm = FnLocal::new("id-below-100", 0, |view: ViewRef<u32>| {
             Verdict::from_bool(view.center_id() < 100)
         });
         let small = colored_cycle(vec![0, 1, 2, 0, 1, 2]);
@@ -440,7 +412,11 @@ mod tests {
             fn radius(&self) -> usize {
                 0
             }
-            fn evaluate(&self, _view: &ObliviousView<u32>, rng: &mut dyn rand::RngCore) -> Verdict {
+            fn evaluate(
+                &self,
+                _view: ObliviousViewRef<u32>,
+                rng: &mut dyn rand::RngCore,
+            ) -> Verdict {
                 Verdict::from_bool(rng.next_u32() % 2 == 0)
             }
         }
@@ -467,7 +443,7 @@ mod tests {
             }
             fn evaluate(
                 &self,
-                _view: &ObliviousView<u32>,
+                _view: ObliviousViewRef<u32>,
                 _rng: &mut dyn rand::RngCore,
             ) -> Verdict {
                 Verdict::Yes

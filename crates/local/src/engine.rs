@@ -120,7 +120,7 @@ pub fn run_with_engine<L: Clone, A: LocalAlgorithm<L> + ?Sized>(
     let verdicts = input
         .graph()
         .nodes()
-        .map(|v| algorithm.evaluate(&view_from_flooding(input, &knowledge, v, radius)))
+        .map(|v| algorithm.evaluate(view_from_flooding(input, &knowledge, v, radius).as_view()))
         .collect();
     Decision::new(algorithm.name(), verdicts)
 }
@@ -174,8 +174,8 @@ mod tests {
     #[test]
     fn engine_decision_matches_direct_decision() {
         let input = grid_input();
-        let algorithm = FnLocal::new("sum-of-labels-even", 2, |view: &crate::View<u8>| {
-            let sum: u32 = view.labels().iter().map(|&l| l as u32).sum();
+        let algorithm = FnLocal::new("sum-of-labels-even", 2, |view: crate::ViewRef<u8>| {
+            let sum: u32 = view.labels().map(|&l| l as u32).sum();
             Verdict::from_bool(sum % 2 == 0)
         });
         let direct = run_local(&input, &algorithm);

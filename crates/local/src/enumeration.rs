@@ -186,7 +186,7 @@ pub fn collect_views<L: Clone>(input: &Input<L>, radius: usize) -> Vec<View<L>> 
     input
         .graph()
         .nodes()
-        .map(|v| input.view_with(&mut extractor, v, radius))
+        .map(|v| input.view_in(&mut extractor, v, radius).to_owned())
         .collect()
 }
 

@@ -2,9 +2,9 @@
 
 use crate::error::LocalError;
 use crate::ids::IdAssignment;
-use crate::view::{ObliviousView, View};
+use crate::view::{ObliviousView, ObliviousViewRef, View, ViewRef};
 use crate::Result;
-use ld_graph::{BallExtractor, Graph, LabeledGraph, NodeId};
+use ld_graph::{BallExtractor, BallRef, Graph, LabeledGraph, NodeId};
 
 /// An input `(G, x, Id)`: a connected labelled graph together with a
 /// one-to-one identifier assignment.
@@ -120,7 +120,56 @@ impl<L> Input<L> {
         })
     }
 
-    /// Extracts the radius-`radius` view of node `v`, including identifiers.
+    /// The radius-`radius` view of node `v`, including identifiers, read in
+    /// place: the ball is the extractor's BFS scratch, the labels and
+    /// identifiers are this input's own.  Nothing is materialised — this is
+    /// what the decision loops hand to algorithms.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn view_in<'a>(
+        &'a self,
+        extractor: &'a mut BallExtractor,
+        v: NodeId,
+        radius: usize,
+    ) -> ViewRef<'a, L> {
+        ViewRef::new(
+            self.ball_in(extractor, v, radius),
+            self.labeled.labels(),
+            self.ids.ids(),
+        )
+    }
+
+    /// The Id-oblivious radius-`radius` view of node `v`, read in place
+    /// (see [`Input::view_in`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn oblivious_view_in<'a>(
+        &'a self,
+        extractor: &'a mut BallExtractor,
+        v: NodeId,
+        radius: usize,
+    ) -> ObliviousViewRef<'a, L> {
+        ObliviousViewRef::new(self.ball_in(extractor, v, radius), self.labeled.labels())
+    }
+
+    fn ball_in<'a>(
+        &'a self,
+        extractor: &'a mut BallExtractor,
+        v: NodeId,
+        radius: usize,
+    ) -> BallRef<'a> {
+        extractor
+            .scan(self.graph(), v, radius)
+            // ld-analyze: allow(D004, reason = "caller contract: v must be a node of this input's graph")
+            .expect("view node must exist")
+    }
+
+    /// Extracts the radius-`radius` view of node `v`, including identifiers,
+    /// as an owned value.
     ///
     /// # Panics
     ///
@@ -129,38 +178,12 @@ impl<L> Input<L> {
     where
         L: Clone,
     {
-        self.view_with(&mut BallExtractor::new(), v, radius)
+        self.view_in(&mut BallExtractor::new(), v, radius)
+            .to_owned()
     }
 
-    /// [`Input::view`] with a caller-provided [`BallExtractor`], so loops
-    /// over many nodes reuse the extraction scratch buffers instead of
-    /// re-allocating them per node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn view_with(&self, extractor: &mut BallExtractor, v: NodeId, radius: usize) -> View<L>
-    where
-        L: Clone,
-    {
-        let ball = extractor
-            .extract(self.graph(), v, radius)
-            // ld-analyze: allow(D004, reason = "caller contract: v must be a node of this input's graph")
-            .expect("view node must exist");
-        let labels = ball
-            .mapping()
-            .iter()
-            .map(|&orig| self.labeled.label(orig).clone())
-            .collect();
-        let ids = ball
-            .mapping()
-            .iter()
-            .map(|&orig| self.ids.id(orig))
-            .collect();
-        View::from_ball(ball, labels, ids)
-    }
-
-    /// Extracts the Id-oblivious radius-`radius` view of node `v`.
+    /// Extracts the Id-oblivious radius-`radius` view of node `v` as an
+    /// owned value.
     ///
     /// # Panics
     ///
@@ -172,9 +195,9 @@ impl<L> Input<L> {
         self.oblivious_view_with(&mut BallExtractor::new(), v, radius)
     }
 
-    /// [`Input::oblivious_view`] with a caller-provided [`BallExtractor`];
-    /// builds the Id-oblivious view directly, without materialising the
-    /// identifier vector first.
+    /// [`Input::oblivious_view`] with a caller-provided [`BallExtractor`], so
+    /// loops that need owned views (a memo key) reuse the extraction
+    /// scratch buffers instead of re-allocating them per node.
     ///
     /// # Panics
     ///
@@ -188,16 +211,7 @@ impl<L> Input<L> {
     where
         L: Clone,
     {
-        let ball = extractor
-            .extract(self.graph(), v, radius)
-            // ld-analyze: allow(D004, reason = "caller contract: v must be a node of this input's graph")
-            .expect("view node must exist");
-        let labels = ball
-            .mapping()
-            .iter()
-            .map(|&orig| self.labeled.label(orig).clone())
-            .collect();
-        ObliviousView::from_ball(ball, labels)
+        self.oblivious_view_in(extractor, v, radius).to_owned()
     }
 }
 
@@ -254,14 +268,17 @@ mod tests {
         let input = Input::new(labeled_cycle(8), IdAssignment::consecutive_from(8, 10)).unwrap();
         let view = input.view(NodeId(0), 2);
         assert_eq!(view.node_count(), 5);
-        assert_eq!(*view.center_label(), 0);
-        assert_eq!(view.center_id(), 10);
-        // Every node of the view keeps its original label/id pairing.
-        for v in view.graph().nodes() {
-            assert_eq!(*view.label(v) as u64 + 10, view.id(v));
+        let mut extractor = BallExtractor::new();
+        for view in [view.as_view(), input.view_in(&mut extractor, NodeId(0), 2)] {
+            assert_eq!(*view.center_label(), 0);
+            assert_eq!(view.center_id(), 10);
+            // Every node of the view keeps its original label/id pairing.
+            for v in view.nodes() {
+                assert_eq!(*view.label(v) as u64 + 10, view.id(v));
+            }
         }
         let oblivious = input.oblivious_view(NodeId(0), 2);
         assert_eq!(oblivious.node_count(), 5);
-        assert_eq!(*oblivious.center_label(), 0);
+        assert_eq!(*oblivious.as_view().center_label(), 0);
     }
 }

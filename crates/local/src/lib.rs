@@ -53,7 +53,7 @@
 //! let labeled = LabeledGraph::new(graph, vec![0u8, 1, 0, 1])?;
 //! let input = Input::new(labeled, IdAssignment::consecutive(4))?;
 //!
-//! let algorithm = FnOblivious::new("proper-2-colouring", 1, |view: &ld_local::ObliviousView<u8>| {
+//! let algorithm = FnOblivious::new("proper-2-colouring", 1, |view: ld_local::ObliviousViewRef<u8>| {
 //!     let mine = *view.center_label();
 //!     let ok = view
 //!         .neighbors_of_center()
@@ -92,7 +92,7 @@ pub use error::LocalError;
 pub use ids::{IdAssignment, IdBound};
 pub use input::Input;
 pub use property::Property;
-pub use view::{ObliviousView, View};
+pub use view::{ObliviousView, ObliviousViewRef, View, ViewRef};
 
 /// Convenient result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, LocalError>;

@@ -16,7 +16,7 @@
 //! mechanism behind both separations.
 
 use crate::algorithm::{LocalAlgorithm, ObliviousAlgorithm, Verdict};
-use crate::view::ObliviousView;
+use crate::view::ObliviousViewRef;
 
 /// The truncated Id-oblivious simulation `A*` of an identifier-reading
 /// algorithm.
@@ -54,10 +54,7 @@ impl<A> ObliviousSimulation<A> {
     }
 }
 
-impl<L, A: LocalAlgorithm<L>> ObliviousAlgorithm<L> for ObliviousSimulation<A>
-where
-    L: Clone,
-{
+impl<L, A: LocalAlgorithm<L>> ObliviousAlgorithm<L> for ObliviousSimulation<A> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -66,7 +63,7 @@ where
         self.inner.radius()
     }
 
-    fn evaluate(&self, view: &ObliviousView<L>) -> Verdict {
+    fn evaluate(&self, view: ObliviousViewRef<'_, L>) -> Verdict {
         let k = view.node_count();
         if (self.universe as u128) < k as u128 {
             // Not enough identifiers to label the view at all: no assignment
@@ -83,16 +80,17 @@ where
     }
 }
 
-fn search_rejecting_assignment<L: Clone, A: LocalAlgorithm<L>>(
+fn search_rejecting_assignment<L, A: LocalAlgorithm<L>>(
     inner: &A,
-    view: &ObliviousView<L>,
+    view: ObliviousViewRef<'_, L>,
     assignment: &mut Vec<u64>,
     used: &mut Vec<bool>,
     position: usize,
 ) -> bool {
     if position == assignment.len() {
-        let full_view = view.with_ids(assignment.clone());
-        return inner.evaluate(&full_view).is_no();
+        // The assignment is overlaid on the borrowed view: no copy of the
+        // view per assignment tried.
+        return inner.evaluate(view.with_ids(assignment)).is_no();
     }
     for candidate in 0..used.len() as u64 {
         if used[candidate as usize] {
@@ -116,14 +114,14 @@ mod tests {
     use crate::decision::{run_local, run_oblivious};
     use crate::ids::IdAssignment;
     use crate::input::Input;
-    use crate::view::View;
+    use crate::view::ViewRef;
     use ld_graph::{generators, LabeledGraph};
 
     /// The max-id based "small graph" decider: accept iff no identifier
     /// `>= threshold` is visible.  With bounded identifiers this decides
     /// "n < threshold-ish" — the mechanism of Section 2.
-    fn small_id_decider(threshold: u64) -> FnLocal<impl Fn(&View<u8>) -> Verdict> {
-        FnLocal::new("ids-below-threshold", 1, move |view: &View<u8>| {
+    fn small_id_decider(threshold: u64) -> FnLocal<impl Fn(ViewRef<u8>) -> Verdict> {
+        FnLocal::new("ids-below-threshold", 1, move |view: ViewRef<u8>| {
             Verdict::from_bool(view.max_id().unwrap_or(0) < threshold)
         })
     }

@@ -1,16 +1,273 @@
 //! Local views: what a node sees within its horizon, with or without
 //! identifiers.
+//!
+//! Algorithms read views in a borrowed form, [`ViewRef`] and
+//! [`ObliviousViewRef`]: `Copy` values that borrow the ball (a [`BallRef`]),
+//! the labels and the identifiers from where they already live.  In the
+//! decision loops ([`crate::decision`]) that is the extractor's BFS scratch
+//! and the input's label and identifier slices, so evaluating a node builds
+//! nothing.  The owned forms [`View`] and [`ObliviousView`] are values —
+//! they key the [`crate::cache::ViewCache`] memo, are what view enumeration
+//! returns and what neighbourhood generators synthesise — and lend the same
+//! borrowed form through `as_view()`, with the identity mapping.  A
+//! borrowed view is materialised only by an explicit `to_owned()`.
 
 use ld_graph::ball::Ball;
 use ld_graph::canon::{centered_canonical_code, CanonicalCode};
 use ld_graph::iso::{are_compatible_isomorphic, centered_wl_hash, color_of};
-use ld_graph::{CanonScratch, Graph, NodeId};
+use ld_graph::{BallNeighbors, BallRef, CanonScratch, Graph, NodeId};
 use std::hash::{Hash, Hasher};
 
-/// The radius-`t` view of a node in an input `(G, x, Id)`: the induced
-/// subgraph on `B(v, t)` with the labels **and identifiers** of its nodes.
-///
-/// A (non-oblivious) local algorithm is precisely a function of this value.
+/// A borrowed Id-oblivious radius-`t` view: the ball `B(v, t)` and the
+/// labels of its nodes, in ball-local numbering (centre first, then by
+/// `(distance, original id)` for an extracted ball).  An
+/// [`ObliviousAlgorithm`](crate::ObliviousAlgorithm) is a function of this
+/// value.
+#[derive(Debug)]
+pub struct ObliviousViewRef<'a, L> {
+    ball: BallRef<'a>,
+    /// Labels indexed by the nodes of the graph the ball was read from.
+    labels: &'a [L],
+}
+
+impl<L> Clone for ObliviousViewRef<'_, L> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<L> Copy for ObliviousViewRef<'_, L> {}
+
+impl<'a, L> ObliviousViewRef<'a, L> {
+    /// Pairs a ball with labels indexed by the nodes of the graph it was
+    /// read from.
+    pub(crate) fn new(ball: BallRef<'a>, labels: &'a [L]) -> Self {
+        ObliviousViewRef { ball, labels }
+    }
+
+    /// The centre node, in view-local numbering.
+    pub fn center(&self) -> NodeId {
+        self.ball.center()
+    }
+
+    /// The radius the view was extracted with.
+    pub fn radius(&self) -> usize {
+        self.ball.radius()
+    }
+
+    /// Number of nodes in the view.
+    pub fn node_count(&self) -> usize {
+        self.ball.node_count()
+    }
+
+    /// The view-local nodes, in view-local order.
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
+        self.ball.nodes()
+    }
+
+    /// The label of view-local node `v`.
+    pub fn label(&self, v: NodeId) -> &'a L {
+        &self.labels[self.ball.original(v).index()]
+    }
+
+    /// The centre's label.
+    pub fn center_label(&self) -> &'a L {
+        self.label(self.center())
+    }
+
+    /// All labels, in view-local order.
+    pub fn labels(&self) -> impl Iterator<Item = &'a L> + 'a {
+        let view = *self;
+        self.nodes().map(move |v| view.label(v))
+    }
+
+    /// Distance of view-local node `v` from the centre.
+    pub fn distance(&self, v: NodeId) -> usize {
+        self.ball.distance(v)
+    }
+
+    /// The view-local neighbours of `v` in the view's (induced) graph, in
+    /// increasing view-local order.
+    pub fn neighbors(&self, v: NodeId) -> BallNeighbors<'a> {
+        self.ball.neighbors(v)
+    }
+
+    /// The view-local nodes adjacent to the centre.
+    pub fn neighbors_of_center(&self) -> BallNeighbors<'a> {
+        self.ball.neighbors(self.center())
+    }
+
+    /// The view-local nodes at exactly distance `d` from the centre.
+    pub fn sphere(&self, d: usize) -> impl Iterator<Item = NodeId> + 'a {
+        self.ball.sphere(d)
+    }
+
+    /// Overlays identifiers, given in view-local node order, without
+    /// copying the view: the Id-oblivious simulation `A*` tries many
+    /// hypothetical assignments on one view this way.
+    pub fn with_ids(self, ids: &'a [u64]) -> ViewRef<'a, L> {
+        debug_assert_eq!(ids.len(), self.node_count());
+        ViewRef {
+            view: self,
+            ids: Ids::Local(ids),
+        }
+    }
+
+    /// Materialises the view: the induced graph, distances and cloned
+    /// labels, equal to the [`ObliviousView`] extracted for the same node.
+    pub fn to_owned(self) -> ObliviousView<L>
+    where
+        L: Clone,
+    {
+        let labels = self.labels().cloned().collect();
+        ObliviousView::from_ball(self.ball.to_ball(), labels)
+    }
+}
+
+/// Where a [`ViewRef`]'s identifiers live.
+#[derive(Debug, Clone, Copy)]
+enum Ids<'a> {
+    /// Indexed like the labels, by the nodes of the graph the ball was read
+    /// from.
+    ByNode(&'a [u64]),
+    /// An overlay in view-local node order.
+    Local(&'a [u64]),
+}
+
+/// A borrowed radius-`t` view **with identifiers**: an
+/// [`ObliviousViewRef`] plus the identifier of every node.  A
+/// [`LocalAlgorithm`](crate::LocalAlgorithm) is a function of this value.
+#[derive(Debug)]
+pub struct ViewRef<'a, L> {
+    view: ObliviousViewRef<'a, L>,
+    ids: Ids<'a>,
+}
+
+impl<L> Clone for ViewRef<'_, L> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<L> Copy for ViewRef<'_, L> {}
+
+impl<'a, L> ViewRef<'a, L> {
+    /// Pairs a ball with labels and identifiers, both indexed by the nodes
+    /// of the graph the ball was read from.
+    pub(crate) fn new(ball: BallRef<'a>, labels: &'a [L], ids: &'a [u64]) -> Self {
+        ViewRef {
+            view: ObliviousViewRef::new(ball, labels),
+            ids: Ids::ByNode(ids),
+        }
+    }
+
+    /// The centre node, in view-local numbering.
+    pub fn center(&self) -> NodeId {
+        self.view.center()
+    }
+
+    /// The radius the view was extracted with.
+    pub fn radius(&self) -> usize {
+        self.view.radius()
+    }
+
+    /// Number of nodes in the view.
+    pub fn node_count(&self) -> usize {
+        self.view.node_count()
+    }
+
+    /// The view-local nodes, in view-local order.
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
+        self.view.nodes()
+    }
+
+    /// The label of view-local node `v`.
+    pub fn label(&self, v: NodeId) -> &'a L {
+        self.view.label(v)
+    }
+
+    /// The centre's label.
+    pub fn center_label(&self) -> &'a L {
+        self.view.center_label()
+    }
+
+    /// All labels, in view-local order.
+    pub fn labels(&self) -> impl Iterator<Item = &'a L> + 'a {
+        self.view.labels()
+    }
+
+    /// Distance of view-local node `v` from the centre.
+    pub fn distance(&self, v: NodeId) -> usize {
+        self.view.distance(v)
+    }
+
+    /// The view-local neighbours of `v` in the view's (induced) graph, in
+    /// increasing view-local order.
+    pub fn neighbors(&self, v: NodeId) -> BallNeighbors<'a> {
+        self.view.neighbors(v)
+    }
+
+    /// The view-local nodes adjacent to the centre.
+    pub fn neighbors_of_center(&self) -> BallNeighbors<'a> {
+        self.view.neighbors_of_center()
+    }
+
+    /// The view-local nodes at exactly distance `d` from the centre.
+    pub fn sphere(&self, d: usize) -> impl Iterator<Item = NodeId> + 'a {
+        self.view.sphere(d)
+    }
+
+    /// The identifier of view-local node `v`.
+    pub fn id(&self, v: NodeId) -> u64 {
+        match self.ids {
+            Ids::ByNode(ids) => ids[self.view.ball.original(v).index()],
+            Ids::Local(ids) => ids[v.index()],
+        }
+    }
+
+    /// The centre's identifier.
+    pub fn center_id(&self) -> u64 {
+        self.id(self.center())
+    }
+
+    /// All identifiers, in view-local order.
+    pub fn ids(&self) -> impl Iterator<Item = u64> + 'a {
+        let view = *self;
+        self.nodes().map(move |v| view.id(v))
+    }
+
+    /// The largest identifier visible in the view.
+    pub fn max_id(&self) -> Option<u64> {
+        self.ids().max()
+    }
+
+    /// The same view with the identifiers dropped — a borrow, nothing is
+    /// copied.
+    pub fn without_ids(self) -> ObliviousViewRef<'a, L> {
+        self.view
+    }
+
+    /// The same view with its identifiers replaced by `ids`, given in
+    /// view-local node order (nothing is copied).
+    pub fn with_ids(self, ids: &'a [u64]) -> ViewRef<'a, L> {
+        self.view.with_ids(ids)
+    }
+
+    /// Materialises the view: the induced graph, distances, cloned labels
+    /// and identifiers, equal to the [`View`] extracted for the same node.
+    pub fn to_owned(self) -> View<L>
+    where
+        L: Clone,
+    {
+        let labels = self.labels().cloned().collect();
+        let ids = self.ids().collect();
+        View::from_ball(self.view.ball.to_ball(), labels, ids)
+    }
+}
+
+/// The radius-`t` view of a node in an input `(G, x, Id)` as a value: the
+/// induced subgraph on `B(v, t)` with the labels **and identifiers** of its
+/// nodes.  Algorithms read it through [`View::as_view`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct View<L> {
     graph: Graph,
@@ -19,6 +276,20 @@ pub struct View<L> {
     distances: Vec<usize>,
     labels: Vec<L>,
     ids: Vec<u64>,
+}
+
+/// Distances from `center` to every node of `graph` (`usize::MAX` where
+/// unreachable).
+fn distances_from(graph: &Graph, center: NodeId) -> Vec<usize> {
+    graph
+        .bfs_distances(center)
+        // ld-analyze: allow(D004, reason = "caller contract: the view is constructed around one of its own nodes")
+        .expect("center must be a node of the view graph")
+        .reachable()
+        .fold(vec![usize::MAX; graph.node_count()], |mut acc, (v, d)| {
+            acc[v.index()] = d;
+            acc
+        })
 }
 
 impl<L> View<L> {
@@ -47,22 +318,25 @@ impl<L> View<L> {
         labels: Vec<L>,
         ids: Vec<u64>,
     ) -> Self {
-        let distances = graph
-            .bfs_distances(center)
-            // ld-analyze: allow(D004, reason = "caller contract: the view is constructed around one of its own nodes")
-            .expect("center must be a node of the view graph")
-            .reachable()
-            .fold(vec![usize::MAX; graph.node_count()], |mut acc, (v, d)| {
-                acc[v.index()] = d;
-                acc
-            });
         View {
+            distances: distances_from(&graph, center),
             graph,
             center,
             radius,
-            distances,
             labels,
             ids,
+        }
+    }
+
+    /// The borrowed form algorithms read, with the identity mapping onto
+    /// this view's own graph.
+    pub fn as_view(&self) -> ViewRef<'_, L> {
+        ViewRef {
+            view: ObliviousViewRef::new(
+                BallRef::whole(&self.graph, self.center, self.radius, &self.distances),
+                &self.labels,
+            ),
+            ids: Ids::ByNode(&self.ids),
         }
     }
 
@@ -86,26 +360,6 @@ impl<L> View<L> {
         self.graph.node_count()
     }
 
-    /// The label of view-local node `v`.
-    pub fn label(&self, v: NodeId) -> &L {
-        &self.labels[v.index()]
-    }
-
-    /// The identifier of view-local node `v`.
-    pub fn id(&self, v: NodeId) -> u64 {
-        self.ids[v.index()]
-    }
-
-    /// The centre's label.
-    pub fn center_label(&self) -> &L {
-        self.label(self.center)
-    }
-
-    /// The centre's identifier.
-    pub fn center_id(&self) -> u64 {
-        self.id(self.center)
-    }
-
     /// All labels in view-local node order.
     pub fn labels(&self) -> &[L] {
         &self.labels
@@ -114,48 +368,6 @@ impl<L> View<L> {
     /// All identifiers in view-local node order.
     pub fn ids(&self) -> &[u64] {
         &self.ids
-    }
-
-    /// The largest identifier visible in the view.
-    pub fn max_id(&self) -> Option<u64> {
-        self.ids.iter().copied().max()
-    }
-
-    /// Distance of view-local node `v` from the centre.
-    pub fn distance(&self, v: NodeId) -> usize {
-        self.distances[v.index()]
-    }
-
-    /// Iterator over the view-local nodes adjacent to the centre.
-    pub fn neighbors_of_center(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.graph.neighbors(self.center)
-    }
-
-    /// The view-local nodes at exactly distance `d` from the centre.
-    pub fn sphere(&self, d: usize) -> Vec<NodeId> {
-        self.graph
-            .nodes()
-            .filter(|v| self.distances[v.index()] == d)
-            .collect()
-    }
-
-    /// Drops the identifiers, producing the Id-oblivious view.
-    pub fn without_ids(self) -> ObliviousView<L> {
-        ObliviousView {
-            graph: self.graph,
-            center: self.center,
-            radius: self.radius,
-            distances: self.distances,
-            labels: self.labels,
-        }
-    }
-
-    /// A borrowed Id-oblivious copy of this view.
-    pub fn to_oblivious(&self) -> ObliviousView<L>
-    where
-        L: Clone,
-    {
-        self.clone().without_ids()
     }
 }
 
@@ -220,8 +432,9 @@ impl<L: Eq + Hash> View<L> {
     }
 }
 
-/// The Id-oblivious radius-`t` view: the same information as [`View`] minus
-/// the identifiers.  An Id-oblivious algorithm is a function of this value.
+/// The Id-oblivious radius-`t` view as a value: the same information as
+/// [`View`] minus the identifiers.  Algorithms read it through
+/// [`ObliviousView::as_view`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObliviousView<L> {
     graph: Graph,
@@ -249,22 +462,22 @@ impl<L> ObliviousView<L> {
     /// Builds an oblivious view directly from parts (used by neighbourhood
     /// generators).
     pub fn from_parts(graph: Graph, center: NodeId, radius: usize, labels: Vec<L>) -> Self {
-        let distances = graph
-            .bfs_distances(center)
-            // ld-analyze: allow(D004, reason = "caller contract: the view is constructed around one of its own nodes")
-            .expect("center must be a node of the view graph")
-            .reachable()
-            .fold(vec![usize::MAX; graph.node_count()], |mut acc, (v, d)| {
-                acc[v.index()] = d;
-                acc
-            });
         ObliviousView {
+            distances: distances_from(&graph, center),
             graph,
             center,
             radius,
-            distances,
             labels,
         }
+    }
+
+    /// The borrowed form algorithms read, with the identity mapping onto
+    /// this view's own graph.
+    pub fn as_view(&self) -> ObliviousViewRef<'_, L> {
+        ObliviousViewRef::new(
+            BallRef::whole(&self.graph, self.center, self.radius, &self.distances),
+            &self.labels,
+        )
     }
 
     /// The view's graph.
@@ -287,55 +500,9 @@ impl<L> ObliviousView<L> {
         self.graph.node_count()
     }
 
-    /// The label of view-local node `v`.
-    pub fn label(&self, v: NodeId) -> &L {
-        &self.labels[v.index()]
-    }
-
-    /// The centre's label.
-    pub fn center_label(&self) -> &L {
-        self.label(self.center)
-    }
-
     /// All labels in view-local node order.
     pub fn labels(&self) -> &[L] {
         &self.labels
-    }
-
-    /// Distance of view-local node `v` from the centre.
-    pub fn distance(&self, v: NodeId) -> usize {
-        self.distances[v.index()]
-    }
-
-    /// Iterator over the view-local nodes adjacent to the centre.
-    pub fn neighbors_of_center(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.graph.neighbors(self.center)
-    }
-
-    /// The view-local nodes at exactly distance `d` from the centre.
-    pub fn sphere(&self, d: usize) -> Vec<NodeId> {
-        self.graph
-            .nodes()
-            .filter(|v| self.distances[v.index()] == d)
-            .collect()
-    }
-
-    /// Attaches identifiers (in view-local node order), producing a full
-    /// view.  Used by the Id-oblivious simulation `A*`, which tries out many
-    /// hypothetical identifier assignments on the same oblivious view.
-    pub fn with_ids(&self, ids: Vec<u64>) -> View<L>
-    where
-        L: Clone,
-    {
-        debug_assert_eq!(ids.len(), self.node_count());
-        View {
-            graph: self.graph.clone(),
-            center: self.center,
-            radius: self.radius,
-            distances: self.distances.clone(),
-            labels: self.labels.clone(),
-            ids,
-        }
     }
 }
 
@@ -439,7 +606,8 @@ mod tests {
         let a = cycle_input(10, 0).view(NodeId(3), 2);
         let b = cycle_input(10, 100).view(NodeId(3), 2);
         assert!(!a.indistinguishable_from(&b));
-        assert!(a.to_oblivious().indistinguishable_from(&b.to_oblivious()));
+        let (a, b) = (a.as_view().without_ids(), b.as_view().without_ids());
+        assert!(a.to_owned().indistinguishable_from(&b.to_owned()));
     }
 
     #[test]
@@ -454,17 +622,43 @@ mod tests {
     #[test]
     fn view_accessors() {
         let input = cycle_input(8, 0);
-        let view = input.view(NodeId(0), 2);
+        let owned = input.view(NodeId(0), 2);
+        let view = owned.as_view();
         assert_eq!(view.radius(), 2);
         assert_eq!(view.node_count(), 5);
-        assert_eq!(view.sphere(2).len(), 2);
+        assert_eq!(view.sphere(2).count(), 2);
         assert_eq!(view.neighbors_of_center().count(), 2);
-        assert_eq!(view.max_id(), view.ids().iter().copied().max());
+        assert_eq!(view.max_id(), owned.ids().iter().copied().max());
         assert_eq!(view.distance(view.center()), 0);
-        let oblivious = view.clone().without_ids();
-        assert_eq!(oblivious.sphere(1).len(), 2);
+        let oblivious = view.without_ids();
+        assert_eq!(oblivious.sphere(1).count(), 2);
         assert_eq!(oblivious.distance(oblivious.center()), 0);
         assert_eq!(oblivious.neighbors_of_center().count(), 2);
+        assert_eq!(oblivious.to_owned(), input.oblivious_view(NodeId(0), 2));
+    }
+
+    #[test]
+    fn scanned_views_materialise_to_the_extracted_values() {
+        let lg = LabeledGraph::from_fn(generators::grid(4, 5), |v| v.index() as u8);
+        let input = Input::new(lg, IdAssignment::consecutive_from(20, 7)).unwrap();
+        let mut extractor = ld_graph::BallExtractor::new();
+        for v in input.graph().nodes() {
+            for radius in 0..=3 {
+                let ball = input.graph().ball(v, radius);
+                let view = input.view_in(&mut extractor, v, radius);
+                let owned = view.to_owned();
+                assert_eq!(owned.graph(), ball.graph());
+                assert_eq!(owned.center(), ball.center());
+                let labels: Vec<u8> = ball.mapping().iter().map(|u| u.index() as u8).collect();
+                assert_eq!(owned.labels(), &labels[..]);
+                let ids: Vec<u64> = ball
+                    .mapping()
+                    .iter()
+                    .map(|u| u.index() as u64 + 7)
+                    .collect();
+                assert_eq!(owned.ids(), &ids[..]);
+            }
+        }
     }
 
     #[test]
@@ -499,19 +693,24 @@ mod tests {
     fn with_ids_roundtrip() {
         let input = cycle_input(6, 0);
         let oblivious = input.oblivious_view(NodeId(2), 1);
-        let ids = vec![7, 8, 9];
-        let full = oblivious.with_ids(ids.clone());
-        assert_eq!(full.ids(), &ids[..]);
+        let ids = [7, 8, 9];
+        let full = oblivious.as_view().with_ids(&ids);
+        assert_eq!(full.ids().collect::<Vec<_>>(), ids);
+        assert_eq!(full.center_id(), 7);
         assert_eq!(full.node_count(), 3);
+        let reranked = input.view(NodeId(2), 1);
+        let overlaid = reranked.as_view().with_ids(&[2, 1, 0]);
+        assert_eq!(overlaid.max_id(), Some(2));
+        assert_eq!(overlaid.to_owned().ids(), &[2, 1, 0]);
     }
 
     #[test]
     fn from_parts_builds_consistent_views() {
         let g = generators::path(3);
         let view = View::from_parts(g.clone(), NodeId(1), 1, vec!['a', 'b', 'c'], vec![5, 6, 7]);
-        assert_eq!(view.distance(NodeId(0)), 1);
-        assert_eq!(*view.center_label(), 'b');
+        assert_eq!(view.as_view().distance(NodeId(0)), 1);
+        assert_eq!(*view.as_view().center_label(), 'b');
         let ob = ObliviousView::from_parts(g, NodeId(1), 1, vec!['a', 'b', 'c']);
-        assert_eq!(ob.distance(NodeId(2)), 1);
+        assert_eq!(ob.as_view().distance(NodeId(2)), 1);
     }
 }

@@ -32,7 +32,7 @@ use ld_graph::{generators, Graph, LabeledGraph};
 use ld_local::cache::ViewCache;
 use ld_local::enumeration::distinct_oblivious_views_of_budgeted_cached;
 use ld_local::property::{FractionalColoring, Property};
-use ld_local::{decision, FnOblivious, IdAssignment, Input, ObliviousView, Verdict};
+use ld_local::{decision, FnOblivious, IdAssignment, Input, ObliviousViewRef, Verdict};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
@@ -781,7 +781,7 @@ fn sweep_cells(
                         .expect("built instances are connected with distinct ids");
                     let check = family.clone();
                     let verifier =
-                        FnOblivious::new("degree-profile", 1, move |view: &ObliviousView<u8>| {
+                        FnOblivious::new("degree-profile", 1, move |view: ObliviousViewRef<u8>| {
                             Verdict::from_bool(
                                 check.degree_ok(n, view.neighbors_of_center().count()),
                             )

@@ -3,7 +3,8 @@
 //!
 //! The base `randomized-sweep` estimates one acceptance rate per cell and
 //! stops there.  The XL variant widens the machine ladder (speeds up to
-//! `k = 128` under the default `--max-n 512`) and makes each cell also
+//! `k = 32` at the default `--max-n 128`, `k = 128` at `--max-n 512`) and
+//! makes each cell also
 //! *measure* the instance it decided: the distinct radius-1 oblivious
 //! views of the GMR execution-table graph, enumerated through the budgeted
 //! path ([`distinct_oblivious_views_of_budgeted_cached`]) against a cache

@@ -15,7 +15,7 @@ use ld_graph::{generators, LabeledGraph};
 use ld_local::cache::ViewCache;
 use ld_local::decision::{self, check_decides};
 use ld_local::simulation::ObliviousSimulation;
-use ld_local::{FnLocal, IdBound, Input, Verdict, View};
+use ld_local::{FnLocal, IdBound, Input, Verdict, ViewRef};
 use ld_turing::{zoo, Symbol};
 use std::sync::{Arc, OnceLock};
 
@@ -61,7 +61,7 @@ fn section3_separates() -> bool {
 fn free_quadrant_agrees() -> bool {
     // (¬B, ¬C): the Id-oblivious simulation A* reproduces the inner
     // Id-reading algorithm's decision, so no separation arises.
-    let inner = FnLocal::new("ids-below-1000", 1, |view: &View<u8>| {
+    let inner = FnLocal::new("ids-below-1000", 1, |view: ViewRef<u8>| {
         Verdict::from_bool(view.max_id().unwrap_or(0) < 1_000)
     });
     let simulated = ObliviousSimulation::new(inner, 8);

@@ -54,6 +54,13 @@
 //! when workers are killed mid-sweep (their shards reassign with capped
 //! exponential backoff).  See `docs/FAULTS.md`.
 //!
+//! Everything `ldx` prints to standard output goes through one writer
+//! (`out!`/`outln!`).  A reader that closes the pipe early
+//! (`ldx run … | head -1`, `ldx list | true`) ends the output, not the
+//! command: `ldx` finishes its work — the report and any `--bench-json`
+//! snapshot are still written — and exits with the status it would have
+//! had.  Any other standard-output error is reported once on stderr.
+//!
 //! Invalid sweep configurations exit with the typed `ConfigError` codes
 //! (65 zero-max-n, 66 radius-too-large, 67 zero-shard-size); generic usage
 //! errors exit 64; operational failures exit 1.  The daemon's `400`
@@ -72,6 +79,37 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 // ld-analyze: allow(D002, reason = "CLI status lines report real elapsed wall time")
 use std::time::{Duration, Instant};
+
+/// The one writer behind `out!` and `outln!`: standard output until a
+/// write fails, then nothing (see the module docs).
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(error) = std::io::stdout().lock().write_fmt(args) {
+        CLOSED.store(true, Ordering::Relaxed);
+        if error.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("ldx: writing to standard output: {error}");
+        }
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// The default daemon address shared by `serve`, `submit` and `shutdown`.
 const DEFAULT_ADDR: &str = "127.0.0.1:7117";
@@ -303,7 +341,7 @@ fn resolve_scenario(
 }
 
 fn print_summary(summary: &StreamSummary) {
-    println!(
+    outln!(
         "{}: {} cells in {} shard(s) on {} thread(s) in {:.2?}{}",
         summary.scenario,
         summary.cell_count,
@@ -319,23 +357,27 @@ fn print_summary(summary: &StreamSummary) {
             String::new()
         }
     );
-    println!(
+    outln!(
         "  passed {}  failed {}  panicked {}  budget-exhausted {}",
-        summary.passed, summary.failed, summary.panicked, summary.exhausted
+        summary.passed,
+        summary.failed,
+        summary.panicked,
+        summary.exhausted
     );
-    println!(
+    outln!(
         "  canonical-view cache: {} hits, {} misses, hit rate {:.1}%",
         summary.cache.hits,
         summary.cache.misses,
         100.0 * summary.cache.hit_rate()
     );
     for (id, what) in &summary.failures {
-        println!("  FAIL {id} -> {what}");
+        outln!("  FAIL {id} -> {what}");
     }
     if !summary.completed {
-        println!(
+        outln!(
             "  INTERRUPTED after {}/{} shards — continue with `ldx resume`",
-            summary.shards_written, summary.shard_count
+            summary.shards_written,
+            summary.shard_count
         );
     }
 }
@@ -346,7 +388,7 @@ fn finish(summary: &StreamSummary, bench_json: Option<&Path>) -> Result<bool, Cl
     if let Some(bench) = bench_json.filter(|_| summary.completed) {
         std::fs::write(bench, summary.bench_snapshot_json())
             .map_err(|e| format!("writing perf snapshot {}: {e}", bench.display()))?;
-        println!("  perf snapshot: {}", bench.display());
+        outln!("  perf snapshot: {}", bench.display());
     }
     Ok(summary.completed && summary.failed == 0 && summary.panicked == 0)
 }
@@ -364,9 +406,9 @@ fn cmd_run(args: &[String]) -> Result<bool, CliError> {
     };
     let summary = stream::run(scenario.as_ref(), &run.config, &out, &opts)?;
     print_summary(&summary);
-    println!("  report: {}", out.display());
+    outln!("  report: {}", out.display());
     if let Some(csv) = &run.csv {
-        println!("  csv: {}", csv.display());
+        outln!("  csv: {}", csv.display());
     }
     finish(&summary, run.bench_json.as_deref())
 }
@@ -433,7 +475,7 @@ fn cmd_resume(args: &[String]) -> Result<bool, CliError> {
         None => stream::resume(&report, threads, max_shards)?,
     };
     print_summary(&summary);
-    println!("  report: {}", report.display());
+    outln!("  report: {}", report.display());
     finish(&summary, bench_json.as_deref())
 }
 
@@ -520,20 +562,24 @@ fn cmd_diff(args: &[String]) -> Result<bool, CliError> {
         ));
     }
     if a.schema != b.schema {
-        println!(
+        outln!(
             "note: comparing across schemas ({} vs {})",
-            a.schema, b.schema
+            a.schema,
+            b.schema
         );
     }
     if differences.is_empty() {
-        println!(
+        outln!(
             "reports are equivalent: {} cells, {} passed, {} failed, {} panicked",
-            a.cell_count, a.passed, a.failed, a.panicked
+            a.cell_count,
+            a.passed,
+            a.failed,
+            a.panicked
         );
         Ok(true)
     } else {
         for difference in &differences {
-            println!("DIFF {difference}");
+            outln!("DIFF {difference}");
         }
         Ok(false)
     }
@@ -566,10 +612,10 @@ fn cmd_analyze(args: &[String]) -> Result<bool, CliError> {
     };
     let analysis = ld_analyze::analyze_root(&root)?;
     if json {
-        print!("{}", analysis.to_json());
+        out!("{}", analysis.to_json());
     } else {
         for finding in &analysis.findings {
-            println!(
+            outln!(
                 "{}:{}: {} {}",
                 finding.file,
                 finding.line,
@@ -578,7 +624,7 @@ fn cmd_analyze(args: &[String]) -> Result<bool, CliError> {
             );
         }
         for sup in &analysis.suppressed {
-            println!(
+            outln!(
                 "{}:{}: {} suppressed: {}",
                 sup.file,
                 sup.line,
@@ -586,7 +632,7 @@ fn cmd_analyze(args: &[String]) -> Result<bool, CliError> {
                 sup.reason
             );
         }
-        println!(
+        outln!(
             "ldx analyze: {} finding(s), {} suppressed, {} files scanned",
             analysis.findings.len(),
             analysis.suppressed.len(),
@@ -648,14 +694,14 @@ fn cmd_serve(args: &[String]) -> Result<bool, CliError> {
     // The address line goes first on stdout (line-buffered, so it flushes
     // immediately): scripts bind `--addr 127.0.0.1:0` and parse the
     // ephemeral port from here.
-    println!("ld-serve listening on {}", server.local_addr());
-    println!(
+    outln!("ld-serve listening on {}", server.local_addr());
+    outln!(
         "  spool: {}  workers: {}",
         options.spool.display(),
         options.workers
     );
     server.run()?;
-    println!("ld-serve drained");
+    outln!("ld-serve drained");
     Ok(true)
 }
 
@@ -744,9 +790,9 @@ fn cmd_submit(args: &[String]) -> Result<bool, CliError> {
         .get("id")
         .and_then(ld_runner::json::Json::as_u64)
         .ok_or_else(|| "submit: response without a job id".to_string())?;
-    println!("job {id} queued on {addr} (priority {})", spec.priority);
+    outln!("job {id} queued on {addr} (priority {})", spec.priority);
     if !wait {
-        println!("  status: GET http://{addr}/jobs/{id}");
+        outln!("  status: GET http://{addr}/jobs/{id}");
         return Ok(true);
     }
     let waited = Instant::now();
@@ -756,8 +802,8 @@ fn cmd_submit(args: &[String]) -> Result<bool, CliError> {
         let _ = std::fs::remove_file(&out);
         return Err(e);
     }
-    println!("job {id} completed in {:.2?}", waited.elapsed());
-    println!("  report: {}", out.display());
+    outln!("job {id} completed in {:.2?}", waited.elapsed());
+    outln!("  report: {}", out.display());
     Ok(true)
 }
 
@@ -983,8 +1029,8 @@ fn cmd_dispatch(args: &[String]) -> Result<bool, CliError> {
     stop_local_workers(spawned);
     let (summary, stats) = result?;
     print_summary(&summary);
-    println!("  report: {}", out.display());
-    println!(
+    outln!("  report: {}", out.display());
+    outln!(
         "  dispatch: {worker_count} worker(s), {} shard(s) reassigned, {} stale result(s) rejected, {} worker failure(s)",
         stats.reassigned, stats.stale_rejected, stats.worker_failures
     );
@@ -1008,7 +1054,7 @@ fn cmd_shutdown(args: &[String]) -> Result<bool, CliError> {
     }
     let response = client::request(&addr, "POST", "/shutdown", None)?;
     if response.status == 200 {
-        println!("ld-serve on {addr} is draining");
+        outln!("ld-serve on {addr} is draining");
         Ok(true)
     } else {
         Err(CliError::Message(format!(
@@ -1022,8 +1068,8 @@ fn cmd_shutdown(args: &[String]) -> Result<bool, CliError> {
 /// `ldx list [--json]`.
 fn cmd_list(args: &[String]) -> Result<bool, CliError> {
     match args {
-        [] => print!("{}", scenario_lines()),
-        [flag] if flag == "--json" => print!("{}", scenarios::listing_json().render()),
+        [] => out!("{}", scenario_lines()),
+        [flag] if flag == "--json" => out!("{}", scenarios::listing_json().render()),
         _ => return Err(CliError::Usage("list: only --json is accepted".to_string())),
     }
     Ok(true)
@@ -1042,7 +1088,7 @@ fn main() -> ExitCode {
         Some("dispatch") => cmd_dispatch(&args[1..]),
         Some("shutdown") => cmd_shutdown(&args[1..]),
         Some("--help" | "-h" | "help") => {
-            print!("{}", usage());
+            out!("{}", usage());
             return ExitCode::SUCCESS;
         }
         _ => {

@@ -11,7 +11,7 @@ use local_decision::local::property::{MaximalIndependentSet, ProperColoring};
 use local_decision::prelude::*;
 
 fn coloring_checker() -> impl ObliviousAlgorithm<u32> {
-    FnOblivious::new("proper-3-colouring", 1, |view: &ObliviousView<u32>| {
+    FnOblivious::new("proper-3-colouring", 1, |view: ObliviousViewRef<u32>| {
         let mine = *view.center_label();
         let ok = mine < 3
             && view
@@ -22,15 +22,19 @@ fn coloring_checker() -> impl ObliviousAlgorithm<u32> {
 }
 
 fn mis_checker() -> impl ObliviousAlgorithm<u8> {
-    FnOblivious::new("maximal-independent-set", 1, |view: &ObliviousView<u8>| {
-        let mine = *view.center_label();
-        if mine > 1 {
-            return Verdict::No;
-        }
-        let independent = mine == 0 || view.neighbors_of_center().all(|u| *view.label(u) == 0);
-        let dominated = mine == 1 || view.neighbors_of_center().any(|u| *view.label(u) == 1);
-        Verdict::from_bool(independent && dominated)
-    })
+    FnOblivious::new(
+        "maximal-independent-set",
+        1,
+        |view: ObliviousViewRef<u8>| {
+            let mine = *view.center_label();
+            if mine > 1 {
+                return Verdict::No;
+            }
+            let independent = mine == 0 || view.neighbors_of_center().all(|u| *view.label(u) == 0);
+            let dominated = mine == 1 || view.neighbors_of_center().any(|u| *view.label(u) == 1);
+            Verdict::from_bool(independent && dominated)
+        },
+    )
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -57,7 +57,7 @@ proptest! {
     fn oblivious_algorithms_ignore_ids(graph in arbitrary_connected_graph(), seed in any::<u64>()) {
         let n = graph.node_count();
         let labeled = LabeledGraph::from_fn(graph, |v| (v.index() % 3) as u8);
-        let algorithm = FnOblivious::new("degree-parity", 1, |view: &ObliviousView<u8>| {
+        let algorithm = FnOblivious::new("degree-parity", 1, |view: ObliviousViewRef<u8>| {
             Verdict::from_bool((view.neighbors_of_center().count() + *view.center_label() as usize) % 2 == 0)
         });
         let mut rng = StdRng::seed_from_u64(seed);

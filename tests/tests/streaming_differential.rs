@@ -193,3 +193,44 @@ fn section2_sweep_xl_matches_the_pinned_digest() {
         );
     }
 }
+
+/// `(scenario, max_n, report bytes, FNV-1a 64 digest)` of the deterministic
+/// reports of the scenarios whose cells run decision loops (`run_local`,
+/// `run_oblivious`, `run_randomized`) and have no committed fixture.  A
+/// change to view extraction or to a decider that moves one verdict, or
+/// one draw of a randomised decider's stream, moves these bytes.
+const DECISION_LOOP_DIGESTS: [(&str, usize, usize, u64); 4] = [
+    ("randomized-sweep", 128, 4_352, 0xee35_9533_d4ea_830a),
+    ("relationship-table", 128, 1_771, 0x8f44_54d1_6851_e5ab),
+    ("pyramid-sweep", 128, 5_055, 0xfec9_7720_8560_2f53),
+    ("randomized-sweep-xl", 32, 4_352, 0x7081_2815_c969_e0bf),
+];
+
+#[test]
+fn decision_loop_scenarios_match_their_pinned_digests() {
+    for (name, max_n, len, digest) in DECISION_LOOP_DIGESTS {
+        let scenario = scenarios::find(name).unwrap();
+        for threads in [1, 2] {
+            let config = SweepConfig {
+                max_n,
+                threads,
+                ..SweepConfig::default()
+            };
+            let path = temp_path(&format!("{name}-digest-t{threads}"));
+            let summary = stream::run(scenario.as_ref(), &config, &path, &DETERMINISTIC).unwrap();
+            assert!(summary.completed, "{name}");
+            let streamed = std::fs::read(&path).unwrap();
+            cleanup(&path);
+            let got = stream::fnv1a(stream::FNV_OFFSET, &streamed);
+            assert_eq!(
+                streamed.len(),
+                len,
+                "{name} report size at {threads} threads"
+            );
+            assert_eq!(
+                got, digest,
+                "{name} at {threads} threads diverges from the pinned digest"
+            );
+        }
+    }
+}

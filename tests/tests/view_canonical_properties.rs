@@ -80,8 +80,8 @@ proptest! {
         prop_assert_eq!(view.canonical_key(), relabeled_view.canonical_key());
         prop_assert!(view.indistinguishable_from(&relabeled_view));
 
-        let oblivious = view.without_ids();
-        let relabeled_oblivious = relabeled_view.without_ids();
+        let oblivious = view.as_view().without_ids().to_owned();
+        let relabeled_oblivious = relabeled_view.as_view().without_ids().to_owned();
         prop_assert_eq!(oblivious.canonical_key(), relabeled_oblivious.canonical_key());
         prop_assert!(oblivious.indistinguishable_from(&relabeled_oblivious));
     }

@@ -21,7 +21,7 @@ const SOURCE: FragmentSource = FragmentSource::WindowsAndDecoys;
 /// bad node flips the global verdict.
 #[test]
 fn quickstart_proper_coloring_verdicts() {
-    let checker = FnOblivious::new("proper-3-colouring", 1, |view: &ObliviousView<u32>| {
+    let checker = FnOblivious::new("proper-3-colouring", 1, |view: ObliviousViewRef<u32>| {
         let mine = *view.center_label();
         let ok = mine < 3
             && view
@@ -73,7 +73,7 @@ fn relationship_table_cells() {
     assert_eq!(failing, vec![2], "the fuel-2 oblivious candidate must err");
 
     // (¬B, ¬C): the simulation A* reproduces an Id-reading algorithm.
-    let inner = FnLocal::new("ids-below-1000", 1, |view: &View<u8>| {
+    let inner = FnLocal::new("ids-below-1000", 1, |view: ViewRef<u8>| {
         Verdict::from_bool(view.max_id().unwrap_or(0) < 1_000)
     });
     let simulated = ObliviousSimulation::new(inner, 8);
