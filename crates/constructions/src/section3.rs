@@ -20,9 +20,8 @@ use crate::Result;
 use ld_graph::{generators, Graph, LabeledGraph, NodeId};
 use ld_local::enumeration::{collect_oblivious_views, distinct_oblivious_views};
 use ld_local::{ObliviousView, Property};
-use ld_turing::{Cell, ExecutionTable, RunOutcome, Symbol, TuringMachine};
+use ld_turing::{Cell, ExecutionTable, RunOutcome, SharedMachine, Symbol, TuringMachine};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// The node label of `G(M, r)`: every node is a cell of some table or
 /// fragment, carrying the machine, the locality parameter, the
@@ -32,14 +31,17 @@ use std::sync::Arc;
 /// real execution table or to a fragment — that is the whole point of the
 /// obfuscation.
 ///
-/// Every label of one instance points at the same machine, so cloning a
-/// label (as every view extraction does) is a refcount bump.  `Arc`'s
-/// `Eq`, `Hash` and `Debug` delegate to the machine, so labels compare,
-/// hash and print exactly as if each held its own copy.
+/// Every label of one instance points at the same [`SharedMachine`], so
+/// cloning a label (as every view extraction does) is a refcount bump.
+/// Labels compare equal exactly when their contents do (the handle's `Eq`
+/// tries the pointer first), hash the machine as a digest computed once
+/// per instance, and print as if each held its own copy.  Deciders ask the
+/// handle whether `M` halts within a budget, which simulates `M` once per
+/// instance rather than once per node.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Section3Label {
     /// The machine `M` whose execution is embedded (shared by every node).
-    pub machine: Arc<TuringMachine>,
+    pub machine: SharedMachine,
     /// The locality parameter `r` (shared by every node).
     pub r: u32,
     /// Column coordinate modulo 3 (supplies the local orientation).
@@ -119,15 +121,25 @@ fn assemble(
     table: &ExecutionTable,
     fragments: &FragmentCollection,
 ) -> Result<GmrInstance> {
-    let shared = Arc::new(machine.clone());
+    let shared = SharedMachine::new(machine.clone());
     let side = table.height();
     let width = table.width();
+    let variants: Vec<(&ExecutionTable, Vec<BorderChoice>)> = fragments
+        .fragments()
+        .iter()
+        .map(|fragment| (fragment, border_variants(machine, fragment)))
+        .collect();
+    let node_count = width * side
+        + variants
+            .iter()
+            .map(|(fragment, choices)| choices.len() * fragment.width() * fragment.height())
+            .sum::<usize>();
     let mut graph = generators::grid(width, side);
-    let mut labels: Vec<Section3Label> = Vec::with_capacity(width * side);
+    let mut labels: Vec<Section3Label> = Vec::with_capacity(node_count);
     for y in 0..side {
         for x in 0..width {
             labels.push(Section3Label {
-                machine: Arc::clone(&shared),
+                machine: shared.clone(),
                 r,
                 x_mod3: (x % 3) as u8,
                 y_mod3: (y % 3) as u8,
@@ -142,15 +154,15 @@ fn assemble(
     // (each appended copy lists its border nodes once).
     let mut glued: Vec<usize> = Vec::new();
     let mut fragment_count = 0usize;
-    for fragment in fragments.fragments() {
-        for border_choice in border_variants(machine, fragment) {
+    for (fragment, choices) in &variants {
+        for border_choice in choices {
             fragment_count += 1;
             let fside = fragment.height();
             let offset = graph.append(&generators::grid(fragment.width(), fside));
             for y in 0..fside {
                 for x in 0..fragment.width() {
                     labels.push(Section3Label {
-                        machine: Arc::clone(&shared),
+                        machine: shared.clone(),
                         r,
                         x_mod3: (x % 3) as u8,
                         y_mod3: (y % 3) as u8,
@@ -173,6 +185,11 @@ fn assemble(
             .map(|(u, v)| (u.index(), v.index()))
             .chain(glued.into_iter().map(|node| (node, pivot.index()))),
     )?;
+    debug_assert_eq!(
+        labels.len(),
+        node_count,
+        "the label vector is sized exactly"
+    );
     let labeled = LabeledGraph::new(graph, labels)?;
     Ok(GmrInstance {
         labeled,
@@ -398,11 +415,13 @@ impl Property<Section3Label> for GmrOutputsZeroProperty {
 pub mod promise {
     use super::*;
 
-    /// The constant label of the promise-problem cycles.
+    /// The constant label of the promise-problem cycles.  Every node holds
+    /// the same [`SharedMachine`], so the cycle stores one machine and the
+    /// deciders simulate it once.
     #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
     pub struct MachineLabel {
         /// The machine every node is told about.
-        pub machine: TuringMachine,
+        pub machine: SharedMachine,
     }
 
     /// Builds a promise instance: an `n`-cycle labelled with `machine`.
@@ -431,7 +450,7 @@ pub mod promise {
         Ok(LabeledGraph::uniform(
             generators::cycle(n),
             MachineLabel {
-                machine: machine.clone(),
+                machine: SharedMachine::new(machine.clone()),
             },
         ))
     }
@@ -497,7 +516,7 @@ mod tests {
         fragments: &FragmentCollection,
     ) -> LabeledGraph<Section3Label> {
         let label = |x: usize, y: usize, cell: Cell| Section3Label {
-            machine: Arc::new(machine.clone()),
+            machine: SharedMachine::new(machine.clone()),
             r,
             x_mod3: (x % 3) as u8,
             y_mod3: (y % 3) as u8,

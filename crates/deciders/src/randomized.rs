@@ -9,9 +9,9 @@
 //! deterministic Section 3 decider.  This yields a `(1, 1 − o(1))`-decider
 //! for the property `P = {G(M, r) : M outputs 0}`.
 
+use crate::section3::{rejects_on_halting, rejects_on_nonzero_output};
 use ld_constructions::section3::{promise::MachineLabel, Section3Label};
 use ld_local::{ObliviousViewRef, RandomizedObliviousAlgorithm, Verdict};
-use ld_turing::{RunOutcome, Symbol};
 use rand::RngCore;
 
 /// Draws `ℓ` fair-coin tosses until the first head and returns `4^ℓ`
@@ -65,10 +65,7 @@ impl RandomizedObliviousAlgorithm<Section3Label> for RandomizedGmrDecider {
         rng: &mut dyn RngCore,
     ) -> Verdict {
         let budget = random_budget(rng, self.cap);
-        match view.center_label().machine.run(budget) {
-            RunOutcome::Halted(halt) if halt.output != Symbol(0) => Verdict::No,
-            _ => Verdict::Yes,
-        }
+        rejects_on_nonzero_output(&view.center_label().machine, budget)
     }
 }
 
@@ -99,10 +96,7 @@ impl RandomizedObliviousAlgorithm<MachineLabel> for RandomizedPromiseDecider {
 
     fn evaluate(&self, view: ObliviousViewRef<'_, MachineLabel>, rng: &mut dyn RngCore) -> Verdict {
         let budget = random_budget(rng, self.cap);
-        match view.center_label().machine.run(budget) {
-            RunOutcome::Halted(_) => Verdict::No,
-            RunOutcome::OutOfFuel(_) => Verdict::Yes,
-        }
+        rejects_on_halting(&view.center_label().machine, budget)
     }
 }
 
@@ -122,7 +116,7 @@ mod tests {
     use crate::section3::gmr_input;
     use ld_constructions::fragments::FragmentSource;
     use ld_local::decision::{estimate_acceptance, run_randomized};
-    use ld_turing::zoo;
+    use ld_turing::{zoo, Symbol};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -9,7 +9,29 @@ use ld_local::{
     decision, IdAssignment, Input, LocalAlgorithm, ObliviousAlgorithm, ObliviousViewRef, Verdict,
     ViewRef,
 };
-use ld_turing::{zoo::MachineSpec, RunOutcome, Symbol, TuringMachine};
+use ld_turing::{zoo::MachineSpec, SharedMachine, Symbol, TuringMachine};
+
+/// The Section 3 verdict rule shared by the two-stage decider, the
+/// fuel-bounded candidates and Corollary 1's randomised decider: reject iff
+/// `M` is seen to halt within `budget` steps with a non-zero output.  The
+/// machine handle answers from its halting profile, so a decision loop
+/// simulates `M` once per instance, not once per node.
+pub(crate) fn rejects_on_nonzero_output(machine: &SharedMachine, budget: u64) -> Verdict {
+    match machine.halted_within(budget) {
+        Some(output) if output != Symbol(0) => Verdict::No,
+        _ => Verdict::Yes,
+    }
+}
+
+/// The promise problem's verdict rule: reject iff `M` is seen to halt
+/// within `budget` steps.
+pub(crate) fn rejects_on_halting(machine: &SharedMachine, budget: u64) -> Verdict {
+    if machine.halted_within(budget).is_some() {
+        Verdict::No
+    } else {
+        Verdict::Yes
+    }
+}
 
 /// The two-stage identifier-reading decider of Theorem 2 (`P ∈ LD` under
 /// (C)).
@@ -62,10 +84,7 @@ impl LocalAlgorithm<Section3Label> for TwoStageIdDecider {
             return Verdict::No;
         }
         let budget = view.center_id().min(self.fuel_cap);
-        match view.center_label().machine.run(budget) {
-            RunOutcome::Halted(halt) if halt.output != Symbol(0) => Verdict::No,
-            _ => Verdict::Yes,
-        }
+        rejects_on_nonzero_output(&view.center_label().machine, budget)
     }
 }
 
@@ -107,10 +126,7 @@ impl ObliviousAlgorithm<Section3Label> for FuelBoundedObliviousCandidate {
     }
 
     fn evaluate(&self, view: ObliviousViewRef<'_, Section3Label>) -> Verdict {
-        match view.center_label().machine.run(self.fuel) {
-            RunOutcome::Halted(halt) if halt.output != Symbol(0) => Verdict::No,
-            _ => Verdict::Yes,
-        }
+        rejects_on_nonzero_output(&view.center_label().machine, self.fuel)
     }
 }
 
@@ -233,10 +249,7 @@ impl LocalAlgorithm<MachineLabel> for PromiseHaltingDecider {
 
     fn evaluate(&self, view: ViewRef<'_, MachineLabel>) -> Verdict {
         let budget = view.center_id().min(self.fuel_cap);
-        match view.center_label().machine.run(budget) {
-            RunOutcome::Halted(_) => Verdict::No,
-            RunOutcome::OutOfFuel(_) => Verdict::Yes,
-        }
+        rejects_on_halting(&view.center_label().machine, budget)
     }
 }
 
@@ -244,6 +257,9 @@ impl LocalAlgorithm<MachineLabel> for PromiseHaltingDecider {
 /// must accept `G(M, r)` exactly when `M` outputs 0, and every fuel-bounded
 /// oblivious candidate must err on some machine whose running time exceeds
 /// its fuel.  Returns `(id_decider_correct, failing_candidates)`.
+///
+/// Each halting machine's `G(M, r)` is built once and decided by the
+/// identifier-reading decider and by every candidate that has not yet erred.
 ///
 /// # Errors
 ///
@@ -256,31 +272,28 @@ pub fn theorem2_experiment(
     candidate_fuels: &[u64],
 ) -> ld_constructions::Result<(bool, Vec<u64>)> {
     let id_decider = TwoStageIdDecider::new(fuel);
+    let candidates: Vec<FuelBoundedObliviousCandidate> = candidate_fuels
+        .iter()
+        .map(|&candidate_fuel| FuelBoundedObliviousCandidate::new(candidate_fuel))
+        .collect();
     let mut id_correct = true;
-    let halting: Vec<&MachineSpec> = zoo.iter().filter(|s| s.truth.halts()).collect();
-    for spec in &halting {
+    let mut errs = vec![false; candidates.len()];
+    for spec in zoo.iter().filter(|s| s.truth.halts()) {
         let input = gmr_input(&spec.machine, r, fuel, source)?;
-        let accepted = decision::run_local(&input, &id_decider).accepted();
-        if accepted != spec.in_l0() {
+        if decision::run_local(&input, &id_decider).accepted() != spec.in_l0() {
             id_correct = false;
         }
-    }
-    let mut failing = Vec::new();
-    for &candidate_fuel in candidate_fuels {
-        let candidate = FuelBoundedObliviousCandidate::new(candidate_fuel);
-        let mut errs = false;
-        for spec in &halting {
-            let input = gmr_input(&spec.machine, r, fuel, source)?;
-            let accepted = decision::run_oblivious(&input, &candidate).accepted();
-            if accepted != spec.in_l0() {
-                errs = true;
-                break;
+        for (candidate, errs) in candidates.iter().zip(&mut errs) {
+            if !*errs && decision::run_oblivious(&input, candidate).accepted() != spec.in_l0() {
+                *errs = true;
             }
         }
-        if errs {
-            failing.push(candidate_fuel);
-        }
     }
+    let failing = candidate_fuels
+        .iter()
+        .zip(errs)
+        .filter_map(|(&candidate_fuel, errs)| errs.then_some(candidate_fuel))
+        .collect();
     Ok((id_correct, failing))
 }
 
@@ -331,7 +344,7 @@ mod tests {
         let decider = TwoStageIdDecider::new(10_000);
         let instance = build_gmr(&spec_a.machine, 1, 100, SOURCE).unwrap();
         let mut corrupted = instance.into_labeled();
-        corrupted.label_mut(NodeId(0)).machine = std::sync::Arc::new(spec_b.machine.clone());
+        corrupted.label_mut(NodeId(0)).machine = SharedMachine::new(spec_b.machine.clone());
         let n = corrupted.node_count();
         let input = Input::new(corrupted, IdAssignment::consecutive(n)).unwrap();
         assert!(!decision::run_local(&input, &decider).accepted());

@@ -16,6 +16,8 @@
 //!
 //! * a deterministic single-tape machine model ([`TuringMachine`]) with
 //!   fuel-bounded execution ([`TuringMachine::run`]),
+//! * a shared machine handle for node labels ([`SharedMachine`]) that
+//!   answers "halts within `b` steps?" from one simulation,
 //! * execution tables as labelled grids ([`ExecutionTable`]) including
 //!   truncated tables for machines that may not halt (needed by the paper's
 //!   neighbourhood generator `B`),
@@ -46,6 +48,7 @@
 pub mod encode;
 pub mod error;
 pub mod machine;
+pub mod shared;
 pub mod table;
 pub mod window;
 pub mod zoo;
@@ -56,6 +59,7 @@ pub use machine::{
     Configuration, Direction, HaltInfo, RunOutcome, State, Symbol, Transition, TuringMachine,
     TuringMachineBuilder,
 };
+pub use shared::SharedMachine;
 pub use table::{Cell, ExecutionTable};
 
 /// Convenient result alias used throughout the crate.

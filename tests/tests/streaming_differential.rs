@@ -136,9 +136,13 @@ fn full_streamed_reports_carry_an_equivalent_deterministic_core() {
 
 /// `tests/fixtures/section3-sweep-128.json` is the committed output of
 /// `ldx run section3-sweep --max-n 128 --deterministic`.  The streamed
-/// report must reproduce it byte for byte at every thread count, so any
-/// change to how `G(M, r)` is built or decided that moves a verdict, a
-/// metric or a seed fails here.
+/// report must reproduce it byte for byte at every thread count, at one
+/// cell per shard (perfbench's `gmr-sweep` shape, where every cell that
+/// shares a `G(M, r)` instance can run on another worker), and across a
+/// run stopped after a few shards and finished by `stream::resume` (whose
+/// fresh plan never runs the checkpointed cells).  So any change to how
+/// `G(M, r)` is built, shared or decided that moves a verdict, a metric or
+/// a seed fails here.
 #[test]
 fn section3_sweep_matches_the_committed_fixture() {
     let fixture = std::fs::read_to_string(format!(
@@ -147,20 +151,93 @@ fn section3_sweep_matches_the_committed_fixture() {
     ))
     .unwrap();
     let scenario = scenarios::find("section3-sweep").unwrap();
+    let config = |threads: usize, shard_size: usize| SweepConfig {
+        max_n: 128,
+        threads,
+        shard_size,
+        ..SweepConfig::default()
+    };
+    // The report's `config` object records the shard size; nothing else
+    // depends on it.
+    let expected = |shard_size: usize| {
+        let recorded = "\"shard_size\": 16";
+        assert_eq!(fixture.matches(recorded).count(), 1);
+        fixture.replace(recorded, &format!("\"shard_size\": {shard_size}"))
+    };
+    for (threads, shard_size) in [(1, 16), (2, 16), (1, 1), (2, 1)] {
+        let path = temp_path(&format!("section3-fixture-t{threads}-s{shard_size}"));
+        let summary = stream::run(
+            scenario.as_ref(),
+            &config(threads, shard_size),
+            &path,
+            &DETERMINISTIC,
+        )
+        .unwrap();
+        assert!(summary.completed);
+        let streamed = std::fs::read_to_string(&path).unwrap();
+        cleanup(&path);
+        assert_eq!(
+            streamed,
+            expected(shard_size),
+            "section3-sweep at {threads} threads, {shard_size} cells per shard, \
+             diverges from the committed fixture"
+        );
+    }
+    for stop_after in [1, 5, 12] {
+        let path = temp_path(&format!("section3-fixture-resume-{stop_after}"));
+        let partial = stream::run(
+            scenario.as_ref(),
+            &config(2, 1),
+            &path,
+            &StreamOptions {
+                deterministic: true,
+                max_shards: Some(stop_after),
+                csv: None,
+            },
+        )
+        .unwrap();
+        assert!(!partial.completed);
+        let resumed = stream::resume(&path, Some(2), None).unwrap();
+        assert!(resumed.completed);
+        assert_eq!(resumed.cells_run, partial.cell_count - stop_after);
+        let streamed = std::fs::read_to_string(&path).unwrap();
+        cleanup(&path);
+        assert_eq!(
+            streamed,
+            expected(1),
+            "section3-sweep stopped after {stop_after} shards and resumed \
+             diverges from the committed fixture"
+        );
+    }
+}
+
+/// `tests/fixtures/randomized-sweep-xl-512.json` is the committed output of
+/// `ldx run randomized-sweep-xl --max-n 512 --deterministic`.  Every rung
+/// of the machine ladder runs Corollary 1's randomised decider for 16
+/// trials, so a decider that moves one verdict, or one draw of its random
+/// stream, at any machine speed fails here.
+#[test]
+fn randomized_sweep_xl_512_matches_the_committed_fixture() {
+    let fixture = std::fs::read_to_string(format!(
+        "{}/fixtures/randomized-sweep-xl-512.json",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .unwrap();
+    let scenario = scenarios::find("randomized-sweep-xl").unwrap();
     for threads in [1, 2] {
         let config = SweepConfig {
-            max_n: 128,
+            max_n: 512,
             threads,
             ..SweepConfig::default()
         };
-        let path = temp_path(&format!("section3-fixture-t{threads}"));
+        let path = temp_path(&format!("randomized-xl-fixture-t{threads}"));
         let summary = stream::run(scenario.as_ref(), &config, &path, &DETERMINISTIC).unwrap();
         assert!(summary.completed);
         let streamed = std::fs::read_to_string(&path).unwrap();
         cleanup(&path);
         assert_eq!(
             streamed, fixture,
-            "section3-sweep at {threads} threads diverges from the committed fixture"
+            "randomized-sweep-xl at {threads} threads diverges from the committed fixture"
         );
     }
 }
