@@ -3,10 +3,8 @@
 //!
 //! Measures, on the XL scenarios at several scales:
 //!
-//! * **in-memory vs streaming execution** — the legacy executor
-//!   (materialise every result, render one document) against the sharded
-//!   streaming pipeline writing the same bytes incrementally, at one and
-//!   at several worker threads;
+//! * **streaming execution** — the sharded pipeline writing the report
+//!   incrementally, at one and at several worker threads;
 //! * **writer throughput** — the incremental v3 writer alone, on synthetic
 //!   pre-computed cells, isolating serialisation from cell execution;
 //! * **checkpoint overhead** — a streaming run with per-shard checkpoint
@@ -19,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ld_runner::report::summary_json;
 use ld_runner::stream::{self, Checkpoint, ReportStream, StreamOptions};
-use ld_runner::{executor, scenarios, CellOutcome, CellResult, CellSpec, SweepConfig};
+use ld_runner::{scenarios, CellOutcome, CellResult, CellSpec, SweepConfig};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -95,18 +93,8 @@ fn write_perf_snapshot() {
     let mut records = Vec::new();
 
     for &max_n in &[128usize, 512] {
-        let scenario = scenarios::find("section2-sweep-xl").unwrap();
         for &threads in &[1usize, 4] {
             let cfg = config(max_n, threads, 16);
-            records.push(perf::measure(
-                format!("xl_in_memory/{max_n}x{threads}t"),
-                3,
-                || {
-                    let report = executor::execute(scenario.as_ref(), &cfg).unwrap();
-                    assert_eq!(report.failed(), 0);
-                    report.deterministic_json().len()
-                },
-            ));
             let path = temp_report(&format!("run-{max_n}-{threads}"));
             records.push(perf::measure(
                 format!("xl_streaming/{max_n}x{threads}t"),
@@ -150,17 +138,8 @@ fn bench(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(800));
 
-    let scenario = scenarios::find("section2-sweep-xl").unwrap();
     for &threads in &[1usize, 4] {
         let cfg = config(128, threads, 16);
-        group.bench_with_input(BenchmarkId::new("in_memory", threads), &cfg, |b, cfg| {
-            b.iter(|| {
-                executor::execute(scenario.as_ref(), cfg)
-                    .unwrap()
-                    .cells
-                    .len()
-            });
-        });
         let path = temp_report(&format!("crit-{threads}"));
         group.bench_with_input(BenchmarkId::new("streaming", threads), &cfg, |b, cfg| {
             b.iter(|| streamed_cells("section2-sweep-xl", cfg, &path));

@@ -1,6 +1,6 @@
-//! Benchmark of the `ld-runner` sweep executor: sequential versus parallel
-//! execution of the Section 2 sweep, plus the canonical-view cache's effect,
-//! with a machine-readable snapshot written to `BENCH_runner_sweep.json`.
+//! Benchmark of `ld_runner::executor::execute`, the in-memory sink of the
+//! sharded sweep driver: the Section 2 sweep at several thread counts, with
+//! a machine-readable snapshot written to `BENCH_runner_sweep.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ld_bench::perf;

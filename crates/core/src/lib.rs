@@ -22,7 +22,7 @@
 //! | [`local`] | the LOCAL model: inputs `(G,x,Id)`, views, algorithm traits, decision semantics, the Id-oblivious simulation `A*` |
 //! | [`constructions`] | the paper's witness families: Section 2 layered trees, Section 3 `G(M,r)`, pyramids, promise problems |
 //! | [`deciders`] | the paper's algorithms: Id-based deciders, Id-oblivious verifiers, the separation harness, the randomised decider |
-//! | [`runner`] | experiment orchestration: scenario specs, the parallel sweep executor, the shared canonical-view cache, JSON/CSV reports, the `ldx` CLI |
+//! | [`runner`] | experiment orchestration: scenario specs, the sharded sweep driver (to a report file or an in-memory report), per-plan canonical-view caches, JSON/CSV reports; the `ldx` CLI over it lives in `ld-serve` |
 //!
 //! # Quickstart
 //!

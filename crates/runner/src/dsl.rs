@@ -669,8 +669,7 @@ impl Workload {
                 );
             }
             Workload::FractionalColoring { ladder } => {
-                let cache = caches.fractional(plan);
-                fractional_cells(plan, &cache, config, ladder);
+                fractional_cells(plan, config, ladder);
             }
         }
         Ok(())
@@ -686,7 +685,6 @@ struct DslCaches {
     structural: Option<Arc<ViewCache<u8>>>,
     tree: Option<Arc<ViewCache<Section2Label>>>,
     promise: Option<Arc<ViewCache<CycleParamLabel>>>,
-    fractional: Option<Arc<ViewCache<u64>>>,
 }
 
 impl DslCaches {
@@ -702,12 +700,6 @@ impl DslCaches {
 
     fn promise(&mut self, plan: &mut Plan) -> Arc<ViewCache<CycleParamLabel>> {
         self.promise
-            .get_or_insert_with(|| plan.share_cache())
-            .clone()
-    }
-
-    fn fractional(&mut self, plan: &mut Plan) -> Arc<ViewCache<u64>> {
-        self.fractional
             .get_or_insert_with(|| plan.share_cache())
             .clone()
     }
@@ -786,8 +778,7 @@ fn sweep_cells(
                                 check.degree_ok(n, view.neighbors_of_center().count()),
                             )
                         });
-                    let accepted =
-                        decision::run_oblivious_cached(&input, &verifier, &cache).accepted();
+                    let accepted = decision::run_oblivious(&input, &verifier).accepted();
                     let verdict = if accepted { "accept" } else { "reject" };
                     let (views, usage) = distinct_oblivious_views_of_budgeted_cached(
                         input.labeled(),
@@ -828,12 +819,7 @@ fn sweep_cells(
 /// Plans a `fractional-coloring` stanza: a yes/no decision pair per ladder
 /// `k` whose odd cycle `C_{2k+1}` fits `max_n`, each cross-checked against
 /// the global [`FractionalColoring`] property.
-fn fractional_cells(
-    plan: &mut Plan,
-    cache: &Arc<ViewCache<u64>>,
-    config: &SweepConfig,
-    ladder: &Ladder,
-) {
+fn fractional_cells(plan: &mut Plan, config: &SweepConfig, ladder: &Ladder) {
     for k in ladder.values() {
         let n = 2 * k + 1;
         if n > config.max_n {
@@ -852,7 +838,6 @@ fn fractional_cells(
                     ("expect", expect.to_string()),
                 ],
             );
-            let cache = cache.clone();
             plan.push(spec, move |_seed| {
                 let k = k as u32;
                 let labeled = match instance {
@@ -867,7 +852,7 @@ fn fractional_cells(
                     // ld-analyze: allow(D004, reason = "invariant: yes/no instances are odd cycles, connected with consecutive distinct ids")
                     .expect("odd cycles are connected with distinct ids");
                 let verifier = FractionalVerifier::new(2 * k + 1, k);
-                let accepted = decision::run_oblivious_cached(&input, &verifier, &cache).accepted();
+                let accepted = decision::run_oblivious(&input, &verifier).accepted();
                 // The radius-1 verifier must agree with the global property
                 // on every instance — a divergence fails the cell outright.
                 if accepted != globally_valid {

@@ -1,34 +1,27 @@
-//! The parallel sweep executor.
+//! Per-cell execution and the in-memory sweep entry point.
 //!
-//! Cells are pulled off a shared atomic work queue by a scoped thread pool,
-//! so long cells never stall the sweep behind them and all cores stay busy.
-//! Three properties make the parallel path bit-reproducible against the
-//! sequential one:
+//! [`execute`] runs a whole sweep into a [`RunReport`] through the same
+//! sharded driver as `ldx run` ([`crate::stream`]); this module owns what
+//! every driver shares per cell:
 //!
-//! 1. **Index-derived seeds** — each cell's seed is a SplitMix64 mix of the
-//!    master seed and the cell *index*, never of the worker that happens to
-//!    run it.
-//! 2. **Slot writes** — results are written into a pre-sized slot per cell,
-//!    so report order is planning order regardless of completion order.
-//! 3. **Panic isolation** — a panicking cell is caught with
+//! 1. **Index-derived seeds** ([`cell_seed`]): each cell's seed is a
+//!    SplitMix64 mix of the master seed and the cell *index*, never of the
+//!    worker that happens to run it.
+//! 2. **Panic isolation**: a panicking cell is caught with
 //!    [`std::panic::catch_unwind`] and recorded as an error outcome; the
-//!    queue keeps draining.
-//!
-//! Worker count is additionally clamped to the machine's available
-//! parallelism: requesting more workers than hardware threads cannot make a
-//! CPU-bound sweep faster, it only adds spawn cost, context switching and
-//! lock pressure on the shared view caches (the effect that made 2–4-thread
-//! sweeps *slower* than sequential ones on small machines).  When the clamp
-//! leaves a single worker the sequential path runs directly — results are
-//! identical either way, so `--threads N` output never depends on the
-//! machine.
+//!    sweep keeps going.
+//! 3. **Worker clamping**: the worker count is clamped to the cell count
+//!    and to the machine's available parallelism.  More workers than
+//!    hardware threads cannot make a CPU-bound sweep faster; they only add
+//!    spawn cost, context switching and lock pressure on the shared view
+//!    caches.  Results are identical for any worker count, so
+//!    `--threads N` output never depends on the machine.
 
 use crate::cell::CellResult;
 use crate::report::RunReport;
-use crate::scenario::{Plan, PlannedCell, Scenario, SweepConfig};
-use interleave::{AtomicUsizeApi, MutexApi, StdSync, SyncFacade};
+use crate::scenario::{PlannedCell, Scenario, SweepConfig};
+use crate::stream::{self, ShardLayout};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::Ordering;
 // ld-analyze: allow(D002, reason = "wall-clock timings are reporting-only; no control flow depends on them")
 use std::time::Instant;
 
@@ -44,7 +37,12 @@ pub fn cell_seed(master: u64, index: usize) -> u64 {
 }
 
 /// Plans `scenario` under `config` and executes every cell, on
-/// `config.threads` workers.
+/// `config.threads` workers, collecting the results in memory.
+///
+/// This is the in-memory sink of the one sweep driver: the cells run
+/// through [`stream::run_shards`](crate::stream), exactly as `ldx run`
+/// streams them to a file, and each shard's results are appended in shard
+/// order.  So the report's deterministic bytes equal the streamed file's.
 ///
 /// # Errors
 ///
@@ -54,28 +52,37 @@ pub fn cell_seed(master: u64, index: usize) -> u64 {
 pub fn execute(scenario: &dyn Scenario, config: &SweepConfig) -> Result<RunReport, String> {
     config.validate().map_err(|e| e.to_string())?;
     let plan = scenario.plan(config)?;
-    Ok(execute_plan(scenario.name(), plan, config))
-}
-
-/// Executes an already expanded plan.  Exposed for benches and tests that
-/// want to reuse a plan's caches across runs.
-pub fn execute_plan(scenario_name: &str, plan: Plan, config: &SweepConfig) -> RunReport {
+    let layout = ShardLayout::new(plan.cells.len(), config.shard_size);
     let stats_before = plan.cache_stats();
     let started = Instant::now();
-    let results = if config.threads <= 1 {
-        run_sequential(&plan.cells, config)
-    } else {
-        run_parallel(&plan.cells, config)
-    };
+    let mut cells = Vec::with_capacity(plan.cells.len());
+    stream::run_shards(
+        &plan.cells,
+        config,
+        layout,
+        0,
+        layout.shard_count(),
+        &mut |_, shard| {
+            cells.extend(shard);
+            Ok(())
+        },
+    )?;
     let total_wall = started.elapsed();
     let cache = plan.cache_stats().since(&stats_before);
-    RunReport::new(scenario_name, config.clone(), results, total_wall, cache)
+    Ok(RunReport::new(
+        scenario.name(),
+        config.clone(),
+        cells,
+        total_wall,
+        cache,
+    ))
 }
 
 /// Runs one cell: derives its seed from the *global* cell index, catches
-/// panics, records wall time.  Shared with the streaming sharded executor
-/// ([`crate::stream`]), which is what makes a resumed sweep's cells
-/// byte-identical to an uninterrupted one's.
+/// panics, records wall time.  Every shard the driver runs, locally or on
+/// a `POST /shards` worker, runs its cells through here, which is what
+/// makes a resumed or dispatched sweep's cells byte-identical to an
+/// uninterrupted one's.
 pub(crate) fn run_cell(cell: &PlannedCell, index: usize, config: &SweepConfig) -> CellResult {
     let seed = cell_seed(config.seed, index);
     let started = Instant::now();
@@ -89,14 +96,6 @@ pub(crate) fn run_cell(cell: &PlannedCell, index: usize, config: &SweepConfig) -
     }
 }
 
-fn run_sequential(cells: &[PlannedCell], config: &SweepConfig) -> Vec<CellResult> {
-    cells
-        .iter()
-        .enumerate()
-        .map(|(index, cell)| run_cell(cell, index, config))
-        .collect()
-}
-
 /// Worker threads actually worth spawning for `requested` threads over
 /// `cells` cells: bounded by the cell count and by hardware parallelism.
 /// The hardware probe is cached — `available_parallelism` re-reads cgroup
@@ -106,58 +105,6 @@ pub(crate) fn effective_workers(requested: usize, cells: usize) -> usize {
     let hardware = *HARDWARE
         .get_or_init(|| std::thread::available_parallelism().map_or(usize::MAX, usize::from));
     requested.min(cells).min(hardware).max(1)
-}
-
-fn run_parallel(cells: &[PlannedCell], config: &SweepConfig) -> Vec<CellResult> {
-    let workers = effective_workers(config.threads, cells.len());
-    if workers <= 1 {
-        // Oversubscribed down to one worker: skip the queue entirely.  The
-        // sequential path produces the identical report.
-        return run_sequential(cells, config);
-    }
-    run_parallel_sync::<StdSync>(cells, config, workers)
-}
-
-/// The parallel work-queue core, generic over the sync facade: claims come
-/// off one shared atomic counter, results land in pre-sized per-cell slots.
-/// Production monomorphises to plain `std::sync` via [`StdSync`]; the model
-/// suite instantiates [`interleave::ModelSync`] to explore every schedule.
-fn run_parallel_sync<S: SyncFacade>(
-    cells: &[PlannedCell],
-    config: &SweepConfig,
-    workers: usize,
-) -> Vec<CellResult> {
-    let next = S::AtomicUsize::new(0);
-    let slots: Vec<S::Mutex<Option<CellResult>>> =
-        cells.iter().map(|_| S::Mutex::new(None)).collect();
-    let worker_fns: Vec<_> = (0..workers)
-        .map(|_| {
-            let next = &next;
-            let slots = &slots;
-            move || loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(index) else { break };
-                let result = run_cell(cell, index, config);
-                *slots[index].lock() = Some(result);
-            }
-        })
-        .collect();
-    S::scope_workers(worker_fns, || ());
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(index, slot)| {
-            // Every index below the final counter value was claimed by
-            // exactly one worker, so the slot is always filled; recover
-            // defensively (as an error outcome) instead of unwrapping.
-            slot.into_inner().unwrap_or_else(|| CellResult {
-                spec: cells[index].spec.clone(),
-                seed: cell_seed(config.seed, index),
-                outcome: Err("internal error: result slot never filled".to_string()),
-                wall: std::time::Duration::ZERO,
-            })
-        })
-        .collect()
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -174,6 +121,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::cell::{CellOutcome, CellSpec};
+    use crate::scenario::Plan;
 
     struct CountingScenario;
 
@@ -259,45 +207,6 @@ mod tests {
         if hardware >= 2 {
             assert_eq!(effective_workers(2, 1024), 2);
         }
-    }
-
-    /// Model suite: [`run_parallel_sync`] under every schedule the explorer
-    /// reaches within its cap — the work queue must fill every slot with
-    /// the planning-order result no matter how worker claims interleave.
-    #[test]
-    fn model_parallel_slots_filled_in_order_under_all_schedules() {
-        use interleave::ModelSync;
-
-        let report = interleave::model_with(interleave::Config::with_max_schedules(2000), || {
-            let cells: Vec<PlannedCell> = (0..4)
-                .map(|i| {
-                    PlannedCell::new(
-                        CellSpec::new(format!("model/{i}"), [("i", i.to_string())]),
-                        move |seed| {
-                            CellOutcome::new("ok", true).with_metric("seed_low", (seed % 8) as f64)
-                        },
-                    )
-                })
-                .collect();
-            let config = SweepConfig {
-                max_n: 4,
-                threads: 2,
-                seed: 0xfeed,
-                ..SweepConfig::default()
-            };
-            let results = run_parallel_sync::<ModelSync>(&cells, &config, 2);
-            assert_eq!(results.len(), cells.len());
-            for (index, result) in results.iter().enumerate() {
-                assert_eq!(result.spec, cells[index].spec, "slot {index} out of order");
-                assert_eq!(result.seed, cell_seed(config.seed, index));
-                assert!(result.outcome.is_ok(), "slot {index} never filled");
-            }
-        });
-        assert!(
-            report.schedules >= 1000,
-            "expected >=1000 distinct schedules, explored {}",
-            report.schedules
-        );
     }
 
     #[test]

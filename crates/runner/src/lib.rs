@@ -10,39 +10,40 @@
 //!   parameter cell.  Built-ins in [`scenarios`] cover the Section 2
 //!   layered trees, the Section 3 execution tables, pyramids, the
 //!   randomised decider, and the summary table.
-//! * **A parallel executor** ([`executor`]) — a scoped thread pool over an
-//!   atomic work queue, with per-cell seeds derived from the cell *index*
-//!   and panics isolated per cell, so `--threads 8` reports are byte-equal
-//!   to `--threads 1` reports.
-//! * **A shared canonical-view cache** (`ld_local::cache`, threaded through
-//!   every oblivious decision and view enumeration the cells perform) — the
-//!   hot path of every indistinguishability harness, computed once per
-//!   structural class per sweep.
+//! * **One sweep driver** ([`stream`]) — the plan is partitioned into
+//!   deterministic shards; workers feed a bounded channel to a single
+//!   writer that emits shards in index order, so peak memory is O(shard
+//!   window), not O(plan).  Per-cell seeds derive from the cell *index*
+//!   and panics are isolated per cell ([`executor`]), so `--threads 8`
+//!   reports are byte-equal to `--threads 1` reports.  The driver feeds
+//!   two sinks: [`stream::run`] appends schema-`v3` cells to a report file
+//!   and records every flushed shard in a `.ckpt` sidecar, so a killed
+//!   sweep resumes from its last shard ([`stream::resume`]) and
+//!   byte-matches an uninterrupted run; [`executor::execute`] collects the
+//!   same shards into an in-memory [`RunReport`].  The large-N scenarios
+//!   (`section2-sweep-xl` at 512+ nodes, `randomized-sweep-xl`) ride on
+//!   the streaming headroom, with scenario-default budgets
+//!   (`EnumerationBudget::scaled`) capping every cell.
+//! * **Shared canonical-view caches** (`ld_local::cache`, one per label
+//!   type per plan, threaded through the view enumerations and the
+//!   Section 2 verifier's decisions) — the hot path of every indistinguishability harness,
+//!   computed once per structural class per sweep.
 //! * **Work budgets** — the Section 2 scenarios run their view-enumerating
 //!   cells under the sweep's [`SweepConfig::enumeration_budget`] (node/view
 //!   caps); exhaustion is a deterministic, explicitly reported *outcome*
 //!   ([`CellOutcome::budget`]), which is what lets the radius-3 scenario
 //!   (`section2-sweep-r3`) sweep `--max-n 128` safely.  Scenarios without a
 //!   budget knob ignore the caps, as `relationship-table` ignores `max_n`.
-//! * **A streaming sharded pipeline** ([`stream`]) — the plan is
-//!   partitioned into deterministic shards; workers feed a bounded channel
-//!   to a single writer that appends schema-`v3` cells in index order, so
-//!   peak memory is O(shard window), not O(plan), and the streamed file is
-//!   byte-identical to the in-memory rendering.  Every flushed shard is
-//!   recorded in a `.ckpt` sidecar: a killed sweep resumes from its last
-//!   shard (`ldx resume`) and byte-matches an uninterrupted run.  The
-//!   large-N scenarios (`section2-sweep-xl` at 512+ nodes,
-//!   `randomized-sweep-xl`) ride on this headroom, with scenario-default
-//!   budgets (`EnumerationBudget::scaled`) capping every cell.
-//! * **Reporters** ([`report`]) — JSON and CSV run records (schema
+//! * **Reporters** ([`report`]) — JSON run records (schema
 //!   `ld-runner/report/v3`: header, append-only `cells` stream, trailing
-//!   summary) plus the flat perf snapshot `ldx run --bench-json` writes, and a
+//!   summary), all written by the one [`stream::ReportStream`] writer,
+//!   CSV rows for `ldx run --csv`, the flat perf snapshot `ldx run --bench-json` writes, and a
 //!   version-compatible reader ([`summary`]) that parses v3 and the legacy
 //!   v2/v1 documents alike — which is what `ldx diff` compares any two
 //!   persisted reports with.
 //!
-//! The `ldx` binary (this crate's `src/bin/ldx.rs`) lists, runs, resumes
-//! and diffs sweeps by name:
+//! The `ldx` binary (`crates/serve/src/bin/ldx.rs`, in `ld-serve`) lists,
+//! runs, resumes and diffs sweeps by name:
 //!
 //! ```text
 //! ldx list

@@ -1,6 +1,7 @@
 //! Machine-readable run records.
 //!
-//! One sweep produces one [`RunReport`], which renders three ways:
+//! One in-memory sweep ([`crate::executor::execute`]) produces one
+//! [`RunReport`], which renders two ways:
 //!
 //! * [`RunReport::to_json`] — the full record: config, every cell (params,
 //!   seed, verdict, metrics), and a `perf` section (wall times, thread
@@ -9,31 +10,25 @@
 //!   timing- or parallelism-dependent.  Two runs of the same scenario with
 //!   the same seed and `max_n` must agree on it byte for byte, whatever the
 //!   thread count — the determinism harness asserts exactly this.
-//! * [`RunReport::to_csv`] — one row per cell for spreadsheet-shaped
-//!   consumers.
-//!
-//! [`RunReport::bench_snapshot_json`] additionally distils a perf snapshot
-//! (what `ldx run --bench-json FILE` writes; the committed
-//! `BENCH_runner.json` is one) so the repo's performance trajectory is
-//! recorded alongside its correctness results.
 //!
 //! The current schema is `ld-runner/report/v3`: a header (schema, scenario,
 //! config), the `cells` array in cell-index order, and a trailing `summary`
 //! object — summary *after* cells, so the document can be written as an
-//! append-only stream by [`crate::stream`] without buffering the sweep.
-//! The free functions in this module ([`config_json`], [`cell_json`],
-//! [`summary_json`], [`perf_json`], [`csv_header`], [`csv_row`]) are the
-//! single source of the rendered bytes: the in-memory renderer below and
-//! the streaming writer compose the same fragments, which is what keeps
-//! their outputs byte-identical (a differential test asserts exactly this).
+//! append-only stream without buffering the sweep.  The free functions in
+//! this module ([`config_json`], [`cell_json`], [`summary_json`],
+//! [`perf_json`], [`csv_header`], [`csv_row`]) build the fragments, and
+//! [`ReportStream`] is the one writer that assembles them: `ldx run`
+//! streams a report file through it, and a [`RunReport`] renders through it
+//! into memory.  `ldx run --csv` writes [`csv_header`] and one [`csv_row`]
+//! per cell beside the JSON report.
 //! [`crate::summary::ReportSummary`] reads v3 plus the legacy v2 and v1
 //! documents back.
 
 use crate::cell::CellResult;
 use crate::json::Json;
 use crate::scenario::SweepConfig;
+use crate::stream::ReportStream;
 use ld_local::cache::CacheStats;
-use std::path::Path;
 use std::time::Duration;
 
 /// The complete record of one executed sweep.
@@ -99,37 +94,16 @@ impl RunReport {
         self.cache.hit_rate()
     }
 
-    /// The deterministic document: identical across thread counts and
-    /// machines for a fixed (scenario, seed, max_n, radius, budgets).
+    /// Renders the deterministic document (no timings, no thread count, no
+    /// cache counters): identical across thread counts and machines for a
+    /// fixed (scenario, seed, max_n, radius, budgets), and byte-identical
+    /// to the file `ldx run --deterministic` streams for the same sweep.
     ///
     /// Schema `ld-runner/report/v3`; see `crates/runner/DESIGN.md` for the
     /// v2 → v3 migration notes, and [`crate::summary::ReportSummary`] for a
     /// reader that accepts all three schema versions.
-    fn deterministic_doc(&self) -> Json {
-        Json::object()
-            .set("schema", SCHEMA)
-            .set("scenario", self.scenario.as_str())
-            .set("config", config_json(&self.config))
-            .set(
-                "cells",
-                Json::Arr(self.cells.iter().map(cell_json).collect()),
-            )
-            .set(
-                "summary",
-                summary_json(
-                    self.cells.len(),
-                    self.passed(),
-                    self.failed(),
-                    self.panicked(),
-                    self.exhausted(),
-                ),
-            )
-    }
-
-    /// Renders the deterministic document (no timings, no thread count, no
-    /// cache counters).
     pub fn deterministic_json(&self) -> String {
-        self.deterministic_doc().render()
+        self.render(None)
     }
 
     /// Renders the full report: the deterministic document plus a `perf`
@@ -140,67 +114,33 @@ impl RunReport {
             .iter()
             .map(|c| c.wall.as_micros() as u64)
             .collect();
-        let perf = perf_json(self.config.threads, self.total_wall, &walls, &self.cache);
-        self.deterministic_doc().set("perf", perf).render()
+        self.render(Some(perf_json(
+            self.config.threads,
+            self.total_wall,
+            &walls,
+            &self.cache,
+        )))
     }
 
-    /// Renders one CSV row per cell: id, seed, status, verdict, pass,
-    /// `;`-joined `k=v` params and metrics, and wall micros.
-    pub fn to_csv(&self) -> String {
-        self.render_csv(true)
-    }
-
-    /// [`RunReport::to_csv`] without the `wall_micros` column — the CSV
-    /// counterpart of [`RunReport::deterministic_json`]: identical across
-    /// thread counts and machines for a fixed (scenario, seed, max_n).
-    pub fn deterministic_csv(&self) -> String {
-        self.render_csv(false)
-    }
-
-    fn render_csv(&self, with_wall: bool) -> String {
-        let mut out = csv_header(with_wall);
-        for cell in &self.cells {
-            out.push_str(&csv_row(&self.scenario, cell, with_wall));
-        }
-        out
-    }
-
-    /// The perf snapshot `ldx run --bench-json` writes: scenario, scale,
-    /// wall time, throughput and cache effectiveness in one flat object.
-    pub fn bench_snapshot_json(&self) -> String {
-        Json::object()
-            .set("bench", "ldx-sweep")
-            .set("scenario", self.scenario.as_str())
-            .set("cells", self.cells.len())
-            .set("max_n", self.config.max_n)
-            .set("threads", self.config.threads)
-            .set("seed", self.config.seed)
-            .set("passed", self.passed())
-            .set("failed", self.failed())
-            .set("panicked", self.panicked())
-            .set("exhausted", self.exhausted())
-            .set("total_wall_micros", self.total_wall.as_micros() as u64)
-            .set(
-                "cells_per_second",
-                if self.total_wall.as_secs_f64() > 0.0 {
-                    self.cells.len() as f64 / self.total_wall.as_secs_f64()
-                } else {
-                    0.0
-                },
-            )
-            .set("cache_hits", self.cache.hits)
-            .set("cache_misses", self.cache.misses)
-            .set("cache_hit_rate", self.cache.hit_rate())
-            .render()
-    }
-
-    /// Writes `contents` produced by one of the renderers to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write(path: impl AsRef<Path>, contents: &str) -> std::io::Result<()> {
-        std::fs::write(path, contents)
+    /// Writes the document through [`ReportStream`], the one v3 renderer.
+    fn render(&self, perf: Option<Json>) -> String {
+        let summary = summary_json(
+            self.cells.len(),
+            self.passed(),
+            self.failed(),
+            self.panicked(),
+            self.exhausted(),
+        );
+        let written =
+            ReportStream::begin(Vec::new(), &self.scenario, &self.config).and_then(|mut stream| {
+                stream.write_cells(&self.cells)?;
+                stream.finish(summary, perf)
+            });
+        written
+            .ok()
+            .and_then(|bytes| String::from_utf8(bytes).ok())
+            // ld-analyze: allow(D004, reason = "invariant: writing into a Vec<u8> cannot fail, and every fragment is a Rust string")
+            .expect("an in-memory report renders as UTF-8")
     }
 }
 
@@ -316,7 +256,8 @@ pub fn perf_json(threads: usize, total_wall: Duration, walls: &[u64], cache: &Ca
         )
 }
 
-/// The CSV header row (shared by the in-memory and streaming renderers).
+/// The CSV header row of `ldx run --csv`; `with_wall` adds the
+/// non-deterministic `wall_micros` column.
 pub fn csv_header(with_wall: bool) -> String {
     let mut out = String::from("scenario,cell,seed,status,verdict,pass,params,metrics,budget");
     if with_wall {
@@ -482,42 +423,91 @@ mod tests {
         assert_eq!(report.cache_hit_rate(), 0.75);
     }
 
+    /// The sample report's three cells as a plannable scenario, so the CSV
+    /// tests drive the shipped `ldx run --csv` path: a stream run with
+    /// [`StreamOptions::csv`](crate::stream::StreamOptions::csv) set.
+    struct SampleScenario;
+
+    impl crate::scenario::Scenario for SampleScenario {
+        fn name(&self) -> &str {
+            "sample"
+        }
+        fn description(&self) -> &str {
+            "test scenario: the sample report's cells"
+        }
+        fn plan(&self, _config: &SweepConfig) -> Result<crate::scenario::Plan, String> {
+            use ld_local::enumeration::BudgetUsage;
+            let mut plan = crate::scenario::Plan::new();
+            plan.push(CellSpec::new("a/one", [("n", "8".to_string())]), |_| {
+                CellOutcome::new("accept", true).with_metric("views", 2.0)
+            });
+            plan.push(CellSpec::new("a/two", [("n", "9".to_string())]), |_| {
+                panic!("boom, with comma")
+            });
+            plan.push(CellSpec::new("a/three", [("n", "10".to_string())]), |_| {
+                CellOutcome::new("exhausted", true).with_budget(BudgetUsage {
+                    nodes_visited: 512,
+                    views_materialized: 9,
+                    exhausted: true,
+                })
+            });
+            Ok(plan)
+        }
+    }
+
+    /// Streams [`SampleScenario`] on `threads` workers, one cell per shard,
+    /// and returns the CSV file it wrote.
+    fn streamed_csv(threads: usize, deterministic: bool) -> String {
+        use crate::stream::{self, Checkpoint, StreamOptions};
+        let tag = format!(
+            "ld-runner-report-{}-t{threads}-d{}",
+            std::process::id(),
+            u8::from(deterministic)
+        );
+        let report = std::env::temp_dir().join(format!("{tag}.json"));
+        let csv = std::env::temp_dir().join(format!("{tag}.csv"));
+        let config = SweepConfig {
+            max_n: 16,
+            threads,
+            seed: 3,
+            shard_size: 1,
+            ..SweepConfig::default()
+        };
+        let options = StreamOptions {
+            deterministic,
+            csv: Some(csv.clone()),
+            ..StreamOptions::default()
+        };
+        let summary = stream::run(&SampleScenario, &config, &report, &options).unwrap();
+        assert!(summary.completed);
+        let text = std::fs::read_to_string(&csv).unwrap();
+        for path in [report.clone(), csv, Checkpoint::path_for(&report)] {
+            let _ = std::fs::remove_file(path);
+        }
+        text
+    }
+
     #[test]
     fn csv_has_one_row_per_cell_and_quotes_commas() {
-        let report = sample_report();
-        let csv = report.to_csv();
+        let csv = streamed_csv(2, false);
         let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 4, "{csv}");
         assert!(lines[0].starts_with("scenario,cell,seed"));
+        assert!(lines[0].ends_with(",budget,wall_micros"));
+        assert!(lines[1].starts_with("sample,a/one,"));
         assert!(lines[1].contains("views=2"));
-        assert!(lines[2].contains("\"boom"));
+        assert!(lines[2].contains(",panicked,\"boom, with comma\","));
         assert!(lines[3].contains("exhausted=true;nodes_visited=512"));
     }
 
     #[test]
     fn deterministic_csv_has_no_wall_column() {
-        let report = sample_report();
-        let csv = report.deterministic_csv();
+        let csv = streamed_csv(1, true);
         assert!(!csv.contains("wall"));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].ends_with(",budget"));
-        // Identical cells produce identical deterministic CSV regardless of
-        // the wall times recorded.
-        let mut other = sample_report();
-        for cell in &mut other.cells {
-            cell.wall = Duration::from_micros(999);
-        }
-        assert_eq!(csv, other.deterministic_csv());
-        assert_ne!(report.to_csv(), other.to_csv());
-    }
-
-    #[test]
-    fn bench_snapshot_is_flat_and_complete() {
-        let snapshot = sample_report().bench_snapshot_json();
-        assert!(snapshot.contains("\"bench\": \"ldx-sweep\""));
-        assert!(snapshot.contains("\"cells\": 3"));
-        assert!(snapshot.contains("\"exhausted\": 1"));
-        assert!(snapshot.contains("\"cache_hit_rate\": 0.75"));
+        // The deterministic CSV is identical whatever the worker count.
+        assert_eq!(csv, streamed_csv(4, true));
     }
 }

@@ -8,11 +8,10 @@
 use crate::cell::{CellOutcome, CellSpec};
 use crate::scenario::{Plan, Scenario, SweepConfig};
 use ld_constructions::fragments::FragmentSource;
-use ld_constructions::section2::{Section2Label, Section2Params, SmallInstancesProperty};
+use ld_constructions::section2::{Section2Params, SmallInstancesProperty};
 use ld_deciders::section2::{self as s2, IdBasedDecider, StructureVerifier};
 use ld_deciders::section3 as s3;
 use ld_graph::{generators, LabeledGraph};
-use ld_local::cache::ViewCache;
 use ld_local::decision::{self, check_decides};
 use ld_local::simulation::ObliviousSimulation;
 use ld_local::{FnLocal, IdBound, Input, Verdict, ViewRef};
@@ -24,7 +23,7 @@ const MAX_SMALL: usize = 8;
 /// The relationship-table scenario.
 pub struct RelationshipTable;
 
-fn section2_separates(cache: &ViewCache<Section2Label>) -> bool {
+fn section2_separates() -> bool {
     let params =
         Section2Params::new(1, IdBound::identity_plus(2)).expect("the r = 1 parameters are valid");
     let inputs = s2::experiment_inputs(&params, MAX_SMALL).expect("the r = 1 family constructs");
@@ -40,7 +39,7 @@ fn section2_separates(cache: &ViewCache<Section2Label>) -> bool {
     let verifier = StructureVerifier::new(params.clone());
     let verdicts: Vec<bool> = inputs
         .iter()
-        .map(|input| decision::run_oblivious_cached(input, &verifier, cache).accepted())
+        .map(|input| decision::run_oblivious(input, &verifier).accepted())
         .collect();
     let (large_accepted, smalls) = verdicts.split_last().expect("inputs are nonempty");
     let oblivious_fails = smalls.iter().any(|accepted| !accepted) || *large_accepted;
@@ -76,16 +75,13 @@ fn free_quadrant_agrees() -> bool {
 /// `OnceLock` keeps the sharing deterministic: whichever cell runs first
 /// computes the same value any other order would.
 struct SharedWitnesses {
-    cache: Arc<ViewCache<Section2Label>>,
     section2: OnceLock<bool>,
     section3: OnceLock<bool>,
 }
 
 impl SharedWitnesses {
     fn section2(&self) -> bool {
-        *self
-            .section2
-            .get_or_init(|| section2_separates(&self.cache))
+        *self.section2.get_or_init(section2_separates)
     }
 
     fn section3(&self) -> bool {
@@ -137,7 +133,6 @@ impl Scenario for RelationshipTable {
     fn plan(&self, _config: &SweepConfig) -> Result<Plan, String> {
         let mut plan = Plan::new();
         let witnesses = Arc::new(SharedWitnesses {
-            cache: plan.share_cache::<Section2Label>(),
             section2: OnceLock::new(),
             section3: OnceLock::new(),
         });
@@ -177,6 +172,5 @@ mod tests {
                 .map(|c| c.spec.id.clone())
                 .collect::<Vec<_>>()
         );
-        assert!(report.cache_hit_rate() > 0.0);
     }
 }

@@ -1,9 +1,13 @@
-//! Streaming sharded sweep execution: O(shard) memory, checkpoint/resume.
+//! The sweep driver: sharded execution, an append-only report, and
+//! checkpoint/resume.
 //!
-//! The classic executor ([`crate::executor`]) materialises every
-//! [`CellResult`] in memory and serialises one monolithic report at the end —
-//! fine for hundreds of cells, a hard ceiling for thousands.  This module
-//! rebuilds execution as a pipeline:
+//! Every local sweep runs its cells through `run_shards` here.  The
+//! driver feeds one of two sinks: [`run`] and [`resume`] append each shard
+//! to a report file (what `ldx run`, `ldx resume` and the `ld-serve`
+//! daemon's jobs use), and [`crate::executor::execute`] collects the shards
+//! into an in-memory [`RunReport`](crate::report::RunReport) (tests,
+//! examples, benches).  A `ldx dispatch` worker runs single shards through
+//! [`execute_shard`].  The pipeline:
 //!
 //! 1. **Deterministic shards.**  The plan's cells are partitioned by index
 //!    into fixed-size shards ([`ShardLayout`], `SweepConfig::shard_size`
@@ -15,14 +19,15 @@
 //!    worker from running more than a fixed window ahead of the writer, so
 //!    the number of shards in flight — executing, channel-queued or
 //!    buffered for reordering — is bounded whatever the stragglers do.
-//!    Peak memory is O(window × shard), not O(plan).
+//!    Peak memory is O(window × shard), not O(plan).  With one effective
+//!    worker the calling thread runs the shards itself, with no channel or
+//!    gate; the emitted shards are identical either way.
 //! 3. **An append-only report.**  [`ReportStream`] emits schema
 //!    `ld-runner/report/v3` incrementally: header, the `cells` array in
 //!    cell-index order, then the trailing `summary` (and `perf`) objects.
-//!    It composes the exact fragments [`crate::report`] renders, so the
-//!    streamed file is byte-identical to [`RunReport::deterministic_json`](crate::report::RunReport::deterministic_json)
-//!    for the same sweep — and therefore byte-identical across thread
-//!    counts.
+//!    It is the only v3 renderer: [`RunReport`](crate::report::RunReport)
+//!    renders through it too, so a report's bytes do not depend on the sink
+//!    or on the thread count.
 //! 4. **Checkpoints.**  After each shard is written and flushed, a sidecar
 //!    `<report>.ckpt` line records the shard's counters, the report's byte
 //!    offset and a running FNV-1a digest of everything written so far.  A
@@ -32,8 +37,7 @@
 //!    byte-identical to an uninterrupted run (per-cell seeds derive from
 //!    the *global* cell index, so resumed cells replay exactly).
 //!
-//! `ldx run` drives [`run`]; `ldx resume` drives [`resume`]; `ldx diff`
-//! compares any two persisted reports via [`crate::summary`].
+//! `ldx diff` compares any two persisted reports via [`crate::summary`].
 
 use crate::cell::CellResult;
 use crate::executor::{effective_workers, run_cell};
@@ -106,10 +110,9 @@ impl ShardLayout {
 
 /// An incremental writer of one `ld-runner/report/v3` document.
 ///
-/// Composes the same JSON fragments [`crate::report`] renders, in the same
-/// order and at the same nesting depths, so the streamed bytes are
-/// identical to rendering the complete document at once — the differential
-/// conformance tests assert this byte for byte.
+/// Composes the JSON fragments [`crate::report`] builds (config, cells,
+/// summary, perf) at the nesting depths a whole-document render would use,
+/// so the bytes do not depend on how the cells were split into shards.
 pub struct ReportStream<W: Write> {
     sink: W,
     offset: u64,
@@ -596,10 +599,8 @@ pub struct StreamSummary {
 }
 
 impl StreamSummary {
-    /// The flat perf snapshot (`ldx run --bench-json`), mirroring
-    /// [`RunReport::bench_snapshot_json`].
-    ///
-    /// [`RunReport::bench_snapshot_json`]: crate::report::RunReport::bench_snapshot_json
+    /// The flat perf snapshot (`ldx run --bench-json`): scenario, scale,
+    /// wall time, throughput and cache effectiveness in one object.
     pub fn bench_snapshot_json(&self) -> String {
         Json::object()
             .set("bench", "ldx-sweep")
@@ -1076,7 +1077,7 @@ fn drive(
 /// or held for reordering) never exceed the window, whatever the shard
 /// cost skew.  With one effective worker the calling thread runs shards
 /// directly; the emitted bytes are identical either way.
-fn run_shards(
+pub(crate) fn run_shards(
     cells: &[PlannedCell],
     config: &SweepConfig,
     layout: ShardLayout,
@@ -1278,6 +1279,8 @@ mod tests {
         assert_eq!(empty.shard_count(), 0);
     }
 
+    /// Writing a report shard by shard gives the bytes of writing it in one
+    /// go, which is how a [`RunReport`](crate::report::RunReport) renders.
     #[test]
     fn streamed_bytes_equal_the_in_memory_rendering() {
         let config = config(23, 1, 4);
@@ -1311,21 +1314,23 @@ mod tests {
         assert!(Json::parse(&text).is_ok());
     }
 
+    /// A one-worker run (shards executed in turn on the calling thread, no
+    /// channel or gate) is the reference: the pipelined runs' files and the
+    /// in-memory sink's rendering must equal it byte for byte.
     #[test]
     fn streaming_run_matches_in_memory_execute_across_threads() {
-        let reference = executor::execute(&SynthScenario, &config(23, 1, 4))
-            .unwrap()
-            .deterministic_json();
-        for threads in [1, 3] {
+        let deterministic = StreamOptions {
+            deterministic: true,
+            ..StreamOptions::default()
+        };
+        let mut reference = None;
+        for threads in [1, 2, 3] {
             let path = temp_path(&format!("threads{threads}"));
             let summary = run(
                 &SynthScenario,
                 &config(23, threads, 4),
                 &path,
-                &StreamOptions {
-                    deterministic: true,
-                    ..StreamOptions::default()
-                },
+                &deterministic,
             )
             .unwrap();
             assert!(summary.completed);
@@ -1335,8 +1340,15 @@ mod tests {
             assert_eq!(summary.failures.len(), 2);
             assert!(!Checkpoint::path_for(&path).exists());
             let written = std::fs::read_to_string(&path).unwrap();
-            assert_eq!(written, reference, "threads = {threads}");
             cleanup(&path);
+            let reference = reference.get_or_insert(written.clone());
+            assert_eq!(&written, reference, "threads = {threads}");
+            let in_memory = executor::execute(&SynthScenario, &config(23, threads, 4)).unwrap();
+            assert_eq!(
+                &in_memory.deterministic_json(),
+                reference,
+                "in-memory sink, threads = {threads}"
+            );
         }
     }
 

@@ -4,7 +4,7 @@
 //! The four model combinations (B / ¬B) × (C / ¬C) are the four cells of
 //! the `relationship-table` scenario; each runs its witnessing experiment
 //! (Section 2 trees for (B), the Section 3 zoo for (C), the simulation `A*`
-//! for the free quadrant) and the sweep executor runs them in parallel.
+//! for the free quadrant) and the sharded sweep driver runs them in parallel.
 //!
 //! Run with `cargo run -p ld-examples --bin relationship_table`.
 
@@ -13,6 +13,9 @@ use local_decision::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = SweepConfig {
         threads: 4,
+        // One cell per shard, so the four quadrants can run on different
+        // workers (the default shard holds 16 cells).
+        shard_size: 1,
         ..SweepConfig::default()
     };
     let report = sweep_executor::execute(&scenarios::RelationshipTable, &config)?;

@@ -1,8 +1,8 @@
 //! Differential conformance for the committed DSL re-expressions: the
 //! scenario documents under `scenarios/` must produce reports
-//! **byte-identical** to the built-in scenarios they re-express — through
-//! the in-memory reference executor and through the streaming writer, at
-//! every thread count.
+//! **byte-identical** to the built-in scenarios they re-express, at every
+//! thread count.  The reference is the built-in's `threads: 1` stream run,
+//! whose shards run in turn on the calling thread.
 //!
 //! This is the contract that makes the DSL trustworthy: a committed
 //! `.json` file is not "approximately" the built-in sweep, it *is* the
@@ -10,7 +10,7 @@
 //! end-to-end through the `ldx` binary.)
 
 use ld_runner::stream::{self, Checkpoint, StreamOptions};
-use ld_runner::{executor, scenarios, Scenario, ScenarioDoc, SweepConfig};
+use ld_runner::{scenarios, Scenario, ScenarioDoc, SweepConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -58,8 +58,20 @@ fn r3_config(threads: usize) -> SweepConfig {
     }
 }
 
-/// Byte-compares the DSL document against its built-in across both
-/// execution paths and thread counts 1 and 4.
+/// Streams `scenario` under `config` as a deterministic report and returns
+/// its bytes.
+fn streamed(scenario: &dyn Scenario, config: &SweepConfig, tag: &str) -> String {
+    let path = temp_path(tag);
+    let summary = stream::run(scenario, config, &path, &DETERMINISTIC)
+        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+    assert!(summary.completed, "{tag}");
+    let bytes = std::fs::read_to_string(&path).unwrap();
+    cleanup(&path);
+    bytes
+}
+
+/// Byte-compares the DSL document against its built-in at thread counts 1
+/// and 4.
 fn assert_byte_identical(
     doc_text: &str,
     builtin_name: &str,
@@ -69,28 +81,17 @@ fn assert_byte_identical(
     assert_eq!(doc.name(), builtin_name);
     let builtin = scenarios::find(builtin_name).expect("builtin is registered");
 
-    let reference = executor::execute(builtin.as_ref(), &make_config(1))
-        .unwrap_or_else(|e| panic!("{builtin_name}: {e}"))
-        .deterministic_json();
-    let from_doc = executor::execute(&doc, &make_config(1))
-        .unwrap_or_else(|e| panic!("{builtin_name} (doc): {e}"))
-        .deterministic_json();
-    assert_eq!(
-        from_doc, reference,
-        "{builtin_name}: in-memory report from the DSL document diverges from the builtin"
-    );
-
+    let reference = streamed(builtin.as_ref(), &make_config(1), builtin_name);
     for threads in [1, 4] {
-        let path = temp_path(&format!("{builtin_name}-t{threads}"));
-        let summary = stream::run(&doc, &make_config(threads), &path, &DETERMINISTIC)
-            .unwrap_or_else(|e| panic!("{builtin_name} (doc, t{threads}): {e}"));
-        assert!(summary.completed, "{builtin_name} at {threads} threads");
-        let streamed = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
-            streamed, reference,
+            streamed(
+                &doc,
+                &make_config(threads),
+                &format!("{builtin_name}-t{threads}")
+            ),
+            reference,
             "{builtin_name} at {threads} threads: streamed DSL bytes diverge from the builtin"
         );
-        cleanup(&path);
     }
 }
 
@@ -107,8 +108,8 @@ fn committed_r3_doc_is_byte_identical_to_the_builtin() {
 }
 
 /// The new-families document has no built-in twin; its contract is
-/// determinism — identical bytes across thread counts and across the
-/// in-memory and streaming paths — plus a clean verdict sheet.
+/// determinism — identical bytes across thread counts — plus a clean
+/// verdict sheet.
 #[test]
 fn new_families_doc_is_deterministic_across_threads_and_paths() {
     let doc = ScenarioDoc::from_text(NEW_FAMILIES_DOC).expect("committed scenario parses");
@@ -119,21 +120,17 @@ fn new_families_doc_is_deterministic_across_threads_and_paths() {
         shard_size: 4,
         ..SweepConfig::default()
     };
-    let report = executor::execute(&doc, &cfg(1)).unwrap();
-    assert_eq!(report.failed(), 0, "new-families cells must pass");
-    assert_eq!(report.panicked(), 0);
-    let reference = report.deterministic_json();
-    for threads in [1, 4] {
-        let path = temp_path(&format!("new-families-t{threads}"));
-        let summary = stream::run(&doc, &cfg(threads), &path, &DETERMINISTIC).unwrap();
-        assert!(summary.completed);
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            reference,
-            "new-families at {threads} threads diverges"
-        );
-        cleanup(&path);
-    }
+    let path = temp_path("new-families-t1");
+    let summary = stream::run(&doc, &cfg(1), &path, &DETERMINISTIC).unwrap();
+    assert_eq!(summary.failed, 0, "new-families cells must pass");
+    assert_eq!(summary.panicked, 0);
+    let reference = std::fs::read_to_string(&path).unwrap();
+    cleanup(&path);
+    assert_eq!(
+        streamed(&doc, &cfg(4), "new-families-t4"),
+        reference,
+        "new-families at 4 threads diverges"
+    );
 }
 
 /// A DSL-backed sweep interrupted mid-run resumes through
@@ -143,9 +140,7 @@ fn new_families_doc_is_deterministic_across_threads_and_paths() {
 #[test]
 fn interrupted_dsl_sweeps_resume_to_identical_bytes() {
     let doc = ScenarioDoc::from_text(SECTION2_DOC).expect("committed scenario parses");
-    let reference = executor::execute(&doc, &config(24, 1))
-        .unwrap()
-        .deterministic_json();
+    let reference = streamed(&doc, &config(24, 1), "section2-reference");
     let path = temp_path("section2-resume");
     let partial = StreamOptions {
         max_shards: Some(2),

@@ -1,6 +1,10 @@
 //! The runner's core contract: a sweep's deterministic report is a pure
 //! function of (scenario, seed, max_n).  Thread count, scheduling order and
 //! cache state must never leak into it.
+//!
+//! Each reference is a `threads: 1` run, which executes its shards in turn
+//! on the calling thread; every multi-worker run goes through the pipelined
+//! driver (claim gate, bounded channel, in-order writer).
 
 use local_decision::runner::{executor, scenarios, SweepConfig};
 
@@ -9,6 +13,9 @@ fn config(threads: usize) -> SweepConfig {
         max_n: 48,
         threads,
         seed: 0xdecade,
+        // Small shards, so even a short sweep spans several of them and
+        // the multi-worker runs really interleave.
+        shard_size: 4,
         ..SweepConfig::default()
     }
 }
@@ -52,6 +59,7 @@ fn every_builtin_scenario_is_parallel_deterministic() {
             max_n: 24,
             threads: 1,
             seed: 5,
+            shard_size: 2,
             ..SweepConfig::default()
         };
         let sequential = executor::execute(scenario.as_ref(), &small).unwrap();

@@ -1,15 +1,15 @@
-//! Differential conformance for the streaming pipeline: for **every**
-//! built-in scenario, the sharded streaming writer must produce output
-//! byte-identical to the legacy in-memory reporter — at every thread
-//! count, and across a mid-sweep interruption plus resume.
+//! Differential conformance for the sweep driver: for **every** built-in
+//! scenario, the streamed report is byte-identical at every thread count
+//! and across a mid-sweep interruption plus resume, and equals the
+//! committed fixtures and pinned digests below.
 //!
-//! This is the contract that lets the two execution paths coexist: the
-//! in-memory path stays the simple reference (tests, benches, library
-//! callers), the streaming path is what `ldx` ships, and neither can
-//! drift without this suite failing.
+//! The reference is a `threads: 1` stream run: with one effective worker
+//! the driver runs shards in turn on the calling thread, with no channel,
+//! claim gate or reordering buffer, so every pipelined run is checked
+//! against the plain sequential loop.
 
 use ld_runner::stream::{self, Checkpoint, StreamOptions};
-use ld_runner::{executor, scenarios, SweepConfig};
+use ld_runner::{executor, scenarios, Scenario, SweepConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -43,40 +43,58 @@ const DETERMINISTIC: StreamOptions = StreamOptions {
     csv: None,
 };
 
+/// Streams `scenario` under `config` as a deterministic report and returns
+/// its bytes.
+fn streamed(scenario: &dyn Scenario, config: &SweepConfig, tag: &str) -> String {
+    let path = temp_path(tag);
+    let summary = stream::run(scenario, config, &path, &DETERMINISTIC)
+        .unwrap_or_else(|e| panic!("{}: {e}", scenario.name()));
+    assert!(summary.completed, "{}", scenario.name());
+    assert!(
+        !Checkpoint::path_for(&path).exists(),
+        "{}: checkpoint must be removed after completion",
+        scenario.name()
+    );
+    let bytes = std::fs::read_to_string(&path).unwrap();
+    cleanup(&path);
+    bytes
+}
+
 #[test]
 fn streaming_matches_in_memory_for_every_scenario_at_every_thread_count() {
     for scenario in scenarios::all() {
-        let reference = executor::execute(scenario.as_ref(), &config(1))
-            .unwrap_or_else(|e| panic!("{}: {e}", scenario.name()))
-            .deterministic_json();
-        for threads in [1, 2, 8] {
-            let path = temp_path(&format!("{}-t{threads}", scenario.name()));
-            let summary = stream::run(scenario.as_ref(), &config(threads), &path, &DETERMINISTIC)
-                .unwrap_or_else(|e| panic!("{}: {e}", scenario.name()));
-            assert!(summary.completed, "{}", scenario.name());
-            let streamed = std::fs::read_to_string(&path).unwrap();
+        let name = scenario.name();
+        let reference = streamed(scenario.as_ref(), &config(1), &format!("{name}-t1"));
+        for threads in [2, 8] {
             assert_eq!(
-                streamed,
+                streamed(
+                    scenario.as_ref(),
+                    &config(threads),
+                    &format!("{name}-t{threads}")
+                ),
                 reference,
-                "{} at {threads} threads: streamed bytes diverge from the in-memory reporter",
-                scenario.name()
+                "{name} at {threads} threads: streamed bytes diverge from the one-worker run"
             );
-            assert!(
-                !Checkpoint::path_for(&path).exists(),
-                "{}: checkpoint must be removed after completion",
-                scenario.name()
-            );
-            cleanup(&path);
         }
+        // The in-memory sink of the same driver renders the same bytes.
+        let in_memory = executor::execute(scenario.as_ref(), &config(2))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            in_memory.deterministic_json(),
+            reference,
+            "{name}: the in-memory report diverges from the streamed file"
+        );
     }
 }
 
 #[test]
 fn interrupted_and_resumed_sweeps_match_for_every_scenario() {
     for scenario in scenarios::all() {
-        let reference = executor::execute(scenario.as_ref(), &config(1))
-            .unwrap_or_else(|e| panic!("{}: {e}", scenario.name()))
-            .deterministic_json();
+        let reference = streamed(
+            scenario.as_ref(),
+            &config(1),
+            &format!("{}-reference", scenario.name()),
+        );
         let path = temp_path(&format!("{}-resume", scenario.name()));
         let partial = stream::run(
             scenario.as_ref(),
@@ -112,26 +130,35 @@ fn interrupted_and_resumed_sweeps_match_for_every_scenario() {
     }
 }
 
-/// The full (perf-bearing) streamed report differs from the in-memory one
-/// only inside the `perf` section: same schema, same cells, same summary.
+/// Full (perf-bearing) reports differ between runs only inside the `perf`
+/// section: a two-worker streamed file, a one-worker streamed file and the
+/// in-memory rendering carry the same schema, cells and summary.
 #[test]
 fn full_streamed_reports_carry_an_equivalent_deterministic_core() {
     use ld_runner::ReportSummary;
     let scenario = scenarios::find("section2-sweep-xl").unwrap();
-    let path = temp_path("full-perf");
-    let summary = stream::run(
-        scenario.as_ref(),
-        &config(2),
-        &path,
-        &StreamOptions::default(),
-    )
-    .unwrap();
-    assert!(summary.completed);
-    let streamed = ReportSummary::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    let in_memory = executor::execute(scenario.as_ref(), &config(1)).unwrap();
-    let reference = ReportSummary::from_json(&in_memory.to_json()).unwrap();
-    assert_eq!(streamed, reference);
-    cleanup(&path);
+    let full_run = |threads: usize| {
+        let path = temp_path(&format!("full-perf-t{threads}"));
+        let summary = stream::run(
+            scenario.as_ref(),
+            &config(threads),
+            &path,
+            &StreamOptions::default(),
+        )
+        .unwrap();
+        assert!(summary.completed);
+        let text = std::fs::read_to_string(&path).unwrap();
+        cleanup(&path);
+        assert!(text.contains("\"perf\": {"));
+        ReportSummary::from_json(&text).unwrap()
+    };
+    let reference = full_run(1);
+    assert_eq!(full_run(2), reference);
+    let in_memory = executor::execute(scenario.as_ref(), &config(2)).unwrap();
+    assert_eq!(
+        ReportSummary::from_json(&in_memory.to_json()).unwrap(),
+        reference
+    );
 }
 
 /// `tests/fixtures/section3-sweep-128.json` is the committed output of
@@ -240,6 +267,30 @@ fn randomized_sweep_xl_512_matches_the_committed_fixture() {
             "randomized-sweep-xl at {threads} threads diverges from the committed fixture"
         );
     }
+}
+
+/// `ldx-section2-sweep.json` at the repository root is the README's
+/// sample report: the output of `ldx run section2-sweep --max-n 64
+/// --deterministic`.  A two-worker stream run must reproduce it byte for
+/// byte, so the sample cannot drift from what the sweep reports.
+#[test]
+fn section2_sweep_sample_matches_the_committed_report() {
+    let sample = std::fs::read_to_string(format!(
+        "{}/../ldx-section2-sweep.json",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .unwrap();
+    let scenario = scenarios::find("section2-sweep").unwrap();
+    let config = SweepConfig {
+        max_n: 64,
+        threads: 2,
+        ..SweepConfig::default()
+    };
+    assert_eq!(
+        streamed(scenario.as_ref(), &config, "section2-sample"),
+        sample,
+        "section2-sweep --max-n 64 diverges from the committed sample report"
+    );
 }
 
 /// FNV-1a 64 digest of the deterministic `section2-sweep-xl --max-n 512`
