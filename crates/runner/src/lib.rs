@@ -20,7 +20,9 @@
 //!   and records every flushed shard in a `.ckpt` sidecar, so a killed
 //!   sweep resumes from its last shard ([`stream::resume`]) and
 //!   byte-matches an uninterrupted run; [`executor::execute`] collects the
-//!   same shards into an in-memory [`RunReport`].  The large-N scenarios
+//!   same shards into an in-memory [`RunReport`].  Every report file is
+//!   written by one sink, [`stream::ReportSink`], whether its shards came
+//!   from the local pipeline or from `ldx dispatch`'s remote workers.  The large-N scenarios
 //!   (`section2-sweep-xl` at 512+ nodes, `randomized-sweep-xl`) ride on
 //!   the streaming headroom, with scenario-default budgets
 //!   (`EnumerationBudget::scaled`) capping every cell.

@@ -1,13 +1,16 @@
-//! The sweep driver: sharded execution, an append-only report, and
+//! The sweep driver: sharded execution, one report sink, and
 //! checkpoint/resume.
 //!
-//! Every local sweep runs its cells through `run_shards` here.  The
-//! driver feeds one of two sinks: [`run`] and [`resume`] append each shard
-//! to a report file (what `ldx run`, `ldx resume` and the `ld-serve`
-//! daemon's jobs use), and [`crate::executor::execute`] collects the shards
-//! into an in-memory [`RunReport`](crate::report::RunReport) (tests,
-//! examples, benches).  A `ldx dispatch` worker runs single shards through
-//! [`execute_shard`].  The pipeline:
+//! A sweep's shards come from one of two sources, and every persisted byte
+//! goes through one sink.  The sources: the local pipeline (`run_shards`
+//! here, behind [`run`], [`resume`], the `ld-serve` daemon's jobs and
+//! [`crate::executor::execute`]), and the remote leases of `ldx dispatch`,
+//! whose `POST /shards` workers run single shards through
+//! [`execute_shard`].  The sink, [`ReportSink`], writes the report file,
+//! its checkpoint and the running totals for both, so a dispatched report
+//! is written by the same code as a local one.  (`execute` collects the
+//! local shards into an in-memory [`RunReport`](crate::report::RunReport)
+//! instead.)  The pipeline:
 //!
 //! 1. **Deterministic shards.**  The plan's cells are partitioned by index
 //!    into fixed-size shards ([`ShardLayout`], `SweepConfig::shard_size`
@@ -22,20 +25,24 @@
 //!    Peak memory is O(window × shard), not O(plan).  With one effective
 //!    worker the calling thread runs the shards itself, with no channel or
 //!    gate; the emitted shards are identical either way.
-//! 3. **An append-only report.**  [`ReportStream`] emits schema
+//! 3. **One tally.**  [`ShardCells::tally`] renders a shard's results and
+//!    counts them; the local driver and the `POST /shards` worker both use
+//!    it, and the sink appends its output whichever source ran the shard.
+//! 4. **An append-only report.**  [`ReportStream`] emits schema
 //!    `ld-runner/report/v3` incrementally: header, the `cells` array in
 //!    cell-index order, then the trailing `summary` (and `perf`) objects.
 //!    It is the only v3 renderer: [`RunReport`](crate::report::RunReport)
 //!    renders through it too, so a report's bytes do not depend on the sink
 //!    or on the thread count.
-//! 4. **Checkpoints.**  After each shard is written and flushed, a sidecar
+//! 5. **Checkpoints.**  After each shard is written and flushed, a sidecar
 //!    `<report>.ckpt` line records the shard's counters, the report's byte
 //!    offset and a running FNV-1a digest of everything written so far.  A
-//!    killed sweep leaves a valid report prefix plus the sidecar;
-//!    [`resume`] verifies the digest, truncates any half-written tail, and
-//!    continues from the first unfinished shard — producing a final report
-//!    byte-identical to an uninterrupted run (per-cell seeds derive from
-//!    the *global* cell index, so resumed cells replay exactly).
+//!    killed sweep — local or dispatched — leaves a valid report prefix
+//!    plus the sidecar; [`resume`] verifies the digest, truncates any
+//!    half-written tail, and continues from the first unfinished shard on
+//!    the local pipeline — producing a final report byte-identical to an
+//!    uninterrupted run (per-cell seeds derive from the *global* cell
+//!    index, so resumed cells replay exactly).
 //!
 //! `ldx diff` compares any two persisted reports via [`crate::summary`].
 
@@ -65,8 +72,8 @@ pub const CKPT_SCHEMA: &str = "ld-runner/ckpt/v1";
 /// [`FNV_OFFSET`]).  The checkpoint digest: cheap, streaming, and entirely
 /// deterministic — it guards against resuming onto a report that was
 /// edited, torn, or produced by a different run, not against adversaries.
-/// Public because the dispatch coordinator cross-checks worker-reported
-/// shard digests with the same function.
+/// Public because the `POST /shards` wire line digests its cell fragments
+/// with the same function.
 pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(state, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
@@ -229,11 +236,6 @@ impl<W: Write> ReportStream<W> {
         self.digest
     }
 
-    /// Cells appended so far.
-    pub fn cells_written(&self) -> usize {
-        self.cells_written
-    }
-
     fn emit(&mut self, text: &str) -> std::io::Result<()> {
         self.sink.write_all(text.as_bytes())?;
         self.digest = fnv1a(self.digest, text.as_bytes());
@@ -250,12 +252,11 @@ fn render_cell_fragment(cell: &CellResult) -> String {
     fragment
 }
 
-/// One shard executed for transport: the rendered report fragments plus
-/// counters, the worker half of `ldx dispatch`.  The `digest` is FNV-1a
-/// over the fragment bytes in cell order (no separators) seeded with
-/// [`FNV_OFFSET`]; the coordinator recomputes it over the fragments it
-/// received, so a truncated or corrupted transfer is rejected before any
-/// byte reaches the merged report.
+/// One shard's cells rendered for the report, with their tally: what the
+/// report sink appends, whichever source ran the shard.  The local driver
+/// builds it from its results with [`ShardCells::tally`]; a `POST /shards`
+/// worker builds it the same way ([`execute_shard`]) and ships it to the
+/// dispatch coordinator, which parses it back off the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCells {
     /// Shard index in the layout.
@@ -270,63 +271,77 @@ pub struct ShardCells {
     pub panicked: usize,
     /// Budget-exhausted cells.
     pub exhausted: usize,
-    /// Per-cell wall times, micros (feeds the merged checkpoint only —
-    /// never the deterministic report bytes).
+    /// Per-cell wall times, micros (feeds the checkpoint and the `perf`
+    /// footer, never the deterministic report bytes).
     pub wall_micros: Vec<u64>,
     /// `(cell id, verdict-or-panic)` of every non-passing cell.
     pub failures: Vec<(String, String)>,
-    /// FNV-1a over the fragment bytes, seeded with [`FNV_OFFSET`].
-    pub digest: u64,
+}
+
+impl ShardCells {
+    /// Renders and tallies shard `shard`'s results: the one place a cell is
+    /// counted as passed, failed, panicked or exhausted.
+    pub fn tally(shard: usize, results: &[CellResult]) -> ShardCells {
+        let mut out = ShardCells {
+            shard,
+            fragments: Vec::with_capacity(results.len()),
+            passed: 0,
+            failed: 0,
+            panicked: 0,
+            exhausted: 0,
+            wall_micros: Vec::with_capacity(results.len()),
+            failures: Vec::new(),
+        };
+        for cell in results {
+            if cell.passed() {
+                out.passed += 1;
+            } else if cell.panicked() {
+                out.panicked += 1;
+            } else {
+                out.failed += 1;
+            }
+            if cell.exhausted() {
+                out.exhausted += 1;
+            }
+            if !cell.passed() {
+                let what = match &cell.outcome {
+                    Ok(outcome) => outcome.verdict.clone(),
+                    Err(message) => format!("panic: {message}"),
+                };
+                out.failures.push((cell.spec.id.clone(), what));
+            }
+            out.wall_micros.push(cell.wall.as_micros() as u64);
+            out.fragments.push(render_cell_fragment(cell));
+        }
+        out
+    }
+}
+
+/// Runs the cells of shard `shard` in index order.  Per-cell seeds derive
+/// from the *global* index, so a shard's results do not depend on where or
+/// how often it runs.
+fn run_shard(
+    cells: &[PlannedCell],
+    config: &SweepConfig,
+    layout: ShardLayout,
+    shard: usize,
+) -> Vec<CellResult> {
+    layout
+        .shard_range(shard)
+        .map(|index| run_cell(&cells[index], index, config))
+        .collect()
 }
 
 /// Executes one shard of `cells` and renders it for transport — the entry
-/// point the `POST /shards` worker endpoint drives.  Cells run
-/// sequentially in index order; per-cell seeds derive from the *global*
-/// index, so the fragments are byte-identical to what a local
-/// [`run`] would stream for the same shard.
+/// point the `POST /shards` worker endpoint drives.  The fragments are
+/// byte-identical to what a local [`run`] would stream for the same shard.
 pub fn execute_shard(
     cells: &[PlannedCell],
     config: &SweepConfig,
     layout: ShardLayout,
     shard: usize,
 ) -> ShardCells {
-    let range = layout.shard_range(shard);
-    let mut out = ShardCells {
-        shard,
-        fragments: Vec::with_capacity(range.len()),
-        passed: 0,
-        failed: 0,
-        panicked: 0,
-        exhausted: 0,
-        wall_micros: Vec::with_capacity(range.len()),
-        failures: Vec::new(),
-        digest: FNV_OFFSET,
-    };
-    for index in range {
-        let cell = run_cell(&cells[index], index, config);
-        if cell.passed() {
-            out.passed += 1;
-        } else if cell.panicked() {
-            out.panicked += 1;
-        } else {
-            out.failed += 1;
-        }
-        if cell.exhausted() {
-            out.exhausted += 1;
-        }
-        if !cell.passed() {
-            let what = match &cell.outcome {
-                Ok(outcome) => outcome.verdict.clone(),
-                Err(message) => format!("panic: {message}"),
-            };
-            out.failures.push((cell.spec.id.clone(), what));
-        }
-        out.wall_micros.push(cell.wall.as_micros() as u64);
-        let fragment = render_cell_fragment(&cell);
-        out.digest = fnv1a(out.digest, fragment.as_bytes());
-        out.fragments.push(fragment);
-    }
-    out
+    ShardCells::tally(shard, &run_shard(cells, config, layout, shard))
 }
 
 /// One completed shard's checkpoint record.
@@ -565,6 +580,10 @@ pub struct StreamSummary {
     /// The configuration (as run by *this* process: `threads` may differ
     /// from the interrupted run's).
     pub config: SweepConfig,
+    /// Workers that ran this process's shards: the local pipeline's
+    /// threads (at most `config.threads`, one for a one-shard plan), or a
+    /// dispatch's worker daemons.
+    pub workers: usize,
     /// Total planned cells.
     pub cell_count: usize,
     /// Cells executed by this process (the rest were checkpointed).
@@ -607,7 +626,7 @@ impl StreamSummary {
             .set("scenario", self.scenario.as_str())
             .set("cells", self.cell_count)
             .set("max_n", self.config.max_n)
-            .set("threads", self.config.threads)
+            .set("threads", self.workers)
             .set("seed", self.config.seed)
             .set("passed", self.passed)
             .set("failed", self.failed)
@@ -626,6 +645,263 @@ impl StreamSummary {
             .set("cache_misses", self.cumulative_cache.misses)
             .set("cache_hit_rate", self.cumulative_cache.hit_rate())
             .render()
+    }
+}
+
+/// The one writer of a sweep's persisted state: the report stream, its
+/// checkpoint sidecar and the running totals.  Both shard sources write
+/// through it — the local pipeline ([`run`], [`resume`]) and the dispatch
+/// coordinator's merge of remote shards — so a report's bytes, its
+/// checkpoint lines and its summary do not depend on where the shards ran.
+///
+/// [`ReportSink::create`] writes the report and checkpoint headers,
+/// [`ReportSink::append`] writes one shard (in shard order) and its
+/// checkpoint record, and [`ReportSink::finish`] writes the footer once
+/// every shard is in and removes the checkpoint.  A sink dropped before
+/// `finish` leaves a resumable report prefix and checkpoint behind.
+pub struct ReportSink<'io> {
+    io: &'io dyn SpoolIo,
+    path: PathBuf,
+    stream: ReportStream<Box<dyn SpoolFile>>,
+    ckpt_file: Box<dyn SpoolFile>,
+    deterministic: bool,
+    started: Instant,
+    /// Per-cell wall times of every shard written, for the `perf` footer.
+    walls: Vec<u64>,
+    /// The running totals; `finish` completes and returns them.
+    totals: StreamSummary,
+}
+
+impl<'io> ReportSink<'io> {
+    /// Creates the report at `path` and its checkpoint sidecar, and writes
+    /// both headers.  `deterministic` drops the `perf` footer.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message on I/O failures.
+    pub fn create(
+        io: &'io dyn SpoolIo,
+        path: &Path,
+        scenario: &str,
+        config: &SweepConfig,
+        cell_count: usize,
+        deterministic: bool,
+    ) -> Result<Self, String> {
+        let file = io
+            .create(path)
+            .map_err(|e| format!("creating {}: {e}", path.display()))?;
+        let stream = ReportStream::begin(file, scenario, config)
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+        let checkpoint = Checkpoint {
+            scenario: scenario.to_string(),
+            deterministic,
+            config: config.clone(),
+            cell_count,
+            shard_count: ShardLayout::new(cell_count, config.shard_size).shard_count(),
+            header_offset: stream.offset(),
+            header_digest: stream.digest(),
+            shards: Vec::new(),
+        };
+        let ckpt_path = Checkpoint::path_for(path);
+        let mut ckpt_file = io
+            .create(&ckpt_path)
+            .map_err(|e| format!("creating {}: {e}", ckpt_path.display()))?;
+        ckpt_file
+            .write_all(checkpoint.render_header().as_bytes())
+            .and_then(|()| ckpt_file.flush())
+            .map_err(|e| format!("writing {}: {e}", ckpt_path.display()))?;
+        Ok(Self::open(io, path, stream, ckpt_file, checkpoint))
+    }
+
+    /// Reopens the interrupted report at `path` where `checkpoint` left
+    /// it: verifies the report prefix against the checkpoint digest
+    /// (streamed in fixed-size chunks, so resume stays O(shard), not
+    /// O(report)), drops any bytes past it (a kill can land mid-append),
+    /// and restores the totals of the shards already written.  `config`
+    /// is the resumed run's (its `threads` may differ).
+    fn reopen(
+        io: &'io dyn SpoolIo,
+        path: &Path,
+        checkpoint: Checkpoint,
+        config: SweepConfig,
+    ) -> Result<Self, String> {
+        let (end_offset, digest) = checkpoint.shards.last().map_or(
+            (checkpoint.header_offset, checkpoint.header_digest),
+            |record| (record.end_offset, record.digest),
+        );
+        let mut file = io
+            .open_read_write(path)
+            .map_err(|e| format!("opening {}: {e}", path.display()))?;
+        let mut prefix_digest = FNV_OFFSET;
+        let mut remaining = end_offset;
+        let mut chunk = [0u8; 64 * 1024];
+        while remaining > 0 {
+            let take = remaining.min(chunk.len() as u64) as usize;
+            file.read_exact(&mut chunk[..take]).map_err(|e| {
+                format!("report {} shorter than its checkpoint: {e}", path.display())
+            })?;
+            prefix_digest = fnv1a(prefix_digest, &chunk[..take]);
+            remaining -= take as u64;
+        }
+        if prefix_digest != digest {
+            return Err(format!(
+                "report {} does not match its checkpoint (digest mismatch); \
+                 it was edited or belongs to a different run",
+                path.display()
+            ));
+        }
+        file.truncate_to(end_offset)
+            .map_err(|e| format!("truncating {}: {e}", path.display()))?;
+        let cells_done: usize = checkpoint.shards.iter().map(|s| s.cells).sum();
+        let stream = ReportStream::resume_at(file, end_offset, digest, cells_done);
+        let ckpt_path = Checkpoint::path_for(path);
+        let ckpt_file = io
+            .open_append(&ckpt_path)
+            .map_err(|e| format!("opening {}: {e}", ckpt_path.display()))?;
+        let checkpoint = Checkpoint {
+            config,
+            ..checkpoint
+        };
+        Ok(Self::open(io, path, stream, ckpt_file, checkpoint))
+    }
+
+    /// The sink over an open report and checkpoint, with the totals of the
+    /// shards `checkpoint` records already written.
+    fn open(
+        io: &'io dyn SpoolIo,
+        path: &Path,
+        stream: ReportStream<Box<dyn SpoolFile>>,
+        ckpt_file: Box<dyn SpoolFile>,
+        checkpoint: Checkpoint,
+    ) -> Self {
+        let shards = &checkpoint.shards;
+        let sum = |count: fn(&ShardRecord) -> usize| shards.iter().map(count).sum();
+        let last = shards.last();
+        let prior_wall = Duration::from_micros(last.map_or(0, |record| record.elapsed_micros));
+        let totals = StreamSummary {
+            scenario: checkpoint.scenario,
+            config: checkpoint.config,
+            workers: 0,
+            cell_count: checkpoint.cell_count,
+            cells_run: 0,
+            passed: sum(|record| record.passed),
+            failed: sum(|record| record.failed),
+            panicked: sum(|record| record.panicked),
+            exhausted: sum(|record| record.exhausted),
+            shards_written: shards.len(),
+            shard_count: checkpoint.shard_count,
+            completed: false,
+            total_wall: Duration::ZERO,
+            // Until `finish`, the cumulative figures hold the earlier
+            // processes' share alone.
+            cumulative_wall: prior_wall,
+            cache: CacheStats::default(),
+            cumulative_cache: last.map_or_else(CacheStats::default, |record| record.cache),
+            failures: Vec::new(),
+        };
+        ReportSink {
+            io,
+            path: path.to_path_buf(),
+            stream,
+            ckpt_file,
+            deterministic: checkpoint.deterministic,
+            started: Instant::now(),
+            walls: shards
+                .iter()
+                .flat_map(|r| r.wall_micros.iter().copied())
+                .collect(),
+            totals,
+        }
+    }
+
+    /// The next shard the sink expects: shards are appended in order.
+    pub fn next_shard(&self) -> usize {
+        self.totals.shards_written
+    }
+
+    /// Appends shard [`ReportSink::next_shard`] to the report, flushes it,
+    /// and records it in the checkpoint.  `cache` is this process's cache
+    /// counters so far (zero when the shard ran elsewhere).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message on I/O failures.
+    pub fn append(&mut self, cells: &ShardCells, cache: CacheStats) -> Result<(), String> {
+        debug_assert_eq!(cells.shard, self.next_shard(), "shards append in order");
+        self.stream
+            .write_rendered_cells(&cells.fragments)
+            .map_err(|e| format!("writing {}: {e}", self.path.display()))?;
+        let totals = &mut self.totals;
+        totals.cache = cache;
+        let record = ShardRecord {
+            shard: cells.shard,
+            cells: cells.fragments.len(),
+            passed: cells.passed,
+            failed: cells.failed,
+            panicked: cells.panicked,
+            exhausted: cells.exhausted,
+            end_offset: self.stream.offset(),
+            digest: self.stream.digest(),
+            elapsed_micros: (totals.cumulative_wall + self.started.elapsed()).as_micros() as u64,
+            cache: totals.cumulative_cache.merged(&cache),
+            wall_micros: cells.wall_micros.clone(),
+        };
+        let ckpt_path = Checkpoint::path_for(&self.path);
+        self.ckpt_file
+            .write_all(Checkpoint::render_shard(&record).as_bytes())
+            .and_then(|()| self.ckpt_file.flush())
+            .map_err(|e| format!("writing {}: {e}", ckpt_path.display()))?;
+        totals.passed += cells.passed;
+        totals.failed += cells.failed;
+        totals.panicked += cells.panicked;
+        totals.exhausted += cells.exhausted;
+        totals.failures.extend(cells.failures.iter().cloned());
+        totals.cells_run += record.cells;
+        totals.shards_written += 1;
+        self.walls.extend_from_slice(&cells.wall_micros);
+        Ok(())
+    }
+
+    /// Writes the footer and removes the checkpoint when every shard is
+    /// in (otherwise leaves both files resumable), and reports the sweep.
+    /// `workers` is what ran this process's shards; it goes into the
+    /// `perf` footer and the summary.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message on I/O failures.
+    pub fn finish(self, workers: usize) -> Result<StreamSummary, String> {
+        let mut totals = self.totals;
+        totals.workers = workers;
+        totals.total_wall = self.started.elapsed();
+        totals.cumulative_wall += totals.total_wall;
+        totals.cumulative_cache = totals.cumulative_cache.merged(&totals.cache);
+        totals.completed = totals.shards_written == totals.shard_count;
+        if totals.completed {
+            let summary = summary_json(
+                totals.cell_count,
+                totals.passed,
+                totals.failed,
+                totals.panicked,
+                totals.exhausted,
+            );
+            let perf = (!self.deterministic).then(|| {
+                perf_json(
+                    workers,
+                    totals.cumulative_wall,
+                    &self.walls,
+                    &totals.cumulative_cache,
+                )
+            });
+            self.stream
+                .finish(summary, perf)
+                .map_err(|e| format!("writing {}: {e}", self.path.display()))?;
+            let ckpt_path = Checkpoint::path_for(&self.path);
+            self.io
+                .remove_file(&ckpt_path)
+                .map_err(|e| format!("removing {}: {e}", ckpt_path.display()))?;
+        }
+        Ok(totals)
     }
 }
 
@@ -660,30 +936,14 @@ pub fn run_with_io(
 ) -> Result<StreamSummary, String> {
     config.validate().map_err(|e| e.to_string())?;
     let plan = scenario.plan(config)?;
-    let layout = ShardLayout::new(plan.cells.len(), config.shard_size);
-    let file = io
-        .create(path)
-        .map_err(|e| format!("creating {}: {e}", path.display()))?;
-    let stream = ReportStream::begin(file, scenario.name(), config)
-        .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    let ckpt_path = Checkpoint::path_for(path);
-    let checkpoint = Checkpoint {
-        scenario: scenario.name().to_string(),
-        deterministic: opts.deterministic,
-        config: config.clone(),
-        cell_count: plan.cells.len(),
-        shard_count: layout.shard_count(),
-        header_offset: stream.offset(),
-        header_digest: stream.digest(),
-        shards: Vec::new(),
-    };
-    let mut ckpt_file = io
-        .create(&ckpt_path)
-        .map_err(|e| format!("creating {}: {e}", ckpt_path.display()))?;
-    ckpt_file
-        .write_all(checkpoint.render_header().as_bytes())
-        .and_then(|()| ckpt_file.flush())
-        .map_err(|e| format!("writing {}: {e}", ckpt_path.display()))?;
+    let sink = ReportSink::create(
+        io,
+        path,
+        scenario.name(),
+        config,
+        plan.cells.len(),
+        opts.deterministic,
+    )?;
     let csv = match &opts.csv {
         Some(csv_path) => {
             let mut csv_file = File::create(csv_path)
@@ -695,19 +955,7 @@ pub fn run_with_io(
         }
         None => None,
     };
-    drive(
-        io,
-        scenario.name(),
-        &plan,
-        config,
-        opts,
-        Resumption::fresh(),
-        stream,
-        ckpt_file,
-        ckpt_path,
-        path,
-        csv,
-    )
+    drive(sink, &plan, config, opts.max_shards, csv)
 }
 
 /// Continues an interrupted streaming sweep from its checkpoint sidecar.
@@ -824,259 +1072,62 @@ fn resume_impl(
             checkpoint.shard_count
         ));
     }
-    let (end_offset, digest) = checkpoint.shards.last().map_or(
-        (checkpoint.header_offset, checkpoint.header_digest),
-        |record| (record.end_offset, record.digest),
-    );
-
-    // Verify the report prefix against the checkpoint digest (streamed in
-    // fixed-size chunks — resume must stay O(shard), not O(report)), then
-    // drop any bytes past it (a kill can land mid-append).
-    let mut file = io
-        .open_read_write(path)
-        .map_err(|e| format!("opening {}: {e}", path.display()))?;
-    let mut prefix_digest = FNV_OFFSET;
-    let mut remaining = end_offset;
-    let mut chunk = [0u8; 64 * 1024];
-    while remaining > 0 {
-        let take = remaining.min(chunk.len() as u64) as usize;
-        file.read_exact(&mut chunk[..take])
-            .map_err(|e| format!("report {} shorter than its checkpoint: {e}", path.display()))?;
-        prefix_digest = fnv1a(prefix_digest, &chunk[..take]);
-        remaining -= take as u64;
-    }
-    if prefix_digest != digest {
-        return Err(format!(
-            "report {} does not match its checkpoint (digest mismatch); \
-             it was edited or belongs to a different run",
-            path.display()
-        ));
-    }
-    file.truncate_to(end_offset)
-        .map_err(|e| format!("truncating {}: {e}", path.display()))?;
-    let cells_done: usize = checkpoint.shards.iter().map(|s| s.cells).sum();
-    let stream = ReportStream::resume_at(file, end_offset, digest, cells_done);
-    let ckpt_file = io
-        .open_append(&ckpt_path)
-        .map_err(|e| format!("opening {}: {e}", ckpt_path.display()))?;
-    let opts = StreamOptions {
-        deterministic: checkpoint.deterministic,
-        max_shards,
-        csv: None,
-    };
-    drive(
-        io,
-        &checkpoint.scenario,
-        &plan,
-        &config,
-        &opts,
-        Resumption::from_checkpoint(&checkpoint),
-        stream,
-        ckpt_file,
-        ckpt_path,
-        path,
-        None,
-    )
+    let sink = ReportSink::reopen(io, path, checkpoint, config.clone())?;
+    drive(sink, &plan, &config, max_shards, None)
 }
 
-/// What an earlier (interrupted) run already contributed.
-struct Resumption {
-    first_shard: usize,
-    passed: usize,
-    failed: usize,
-    panicked: usize,
-    exhausted: usize,
-    elapsed_micros: u64,
-    cache: CacheStats,
-    walls: Vec<u64>,
-}
-
-impl Resumption {
-    fn fresh() -> Self {
-        Resumption {
-            first_shard: 0,
-            passed: 0,
-            failed: 0,
-            panicked: 0,
-            exhausted: 0,
-            elapsed_micros: 0,
-            cache: CacheStats::default(),
-            walls: Vec::new(),
-        }
-    }
-
-    fn from_checkpoint(checkpoint: &Checkpoint) -> Self {
-        let mut prior = Resumption::fresh();
-        prior.first_shard = checkpoint.shards.len();
-        for record in &checkpoint.shards {
-            prior.passed += record.passed;
-            prior.failed += record.failed;
-            prior.panicked += record.panicked;
-            prior.exhausted += record.exhausted;
-            prior.walls.extend_from_slice(&record.wall_micros);
-        }
-        if let Some(last) = checkpoint.shards.last() {
-            prior.elapsed_micros = last.elapsed_micros;
-            prior.cache = last.cache;
-        }
-        prior
-    }
-}
-
-/// The shared driver behind [`run`] and [`resume`]: executes shards
-/// `prior.first_shard..`, appends them to `stream` and the checkpoint,
-/// and finishes the document unless `max_shards` stops it early.
-#[allow(clippy::too_many_arguments)]
+/// The local shard source behind [`run`] and [`resume`]: executes shards
+/// from the sink's next one on (stopping after `max_shards` when given),
+/// appends each to `sink` and its CSV rows to `csv`, and finishes the sink.
 fn drive(
-    io: &dyn SpoolIo,
-    scenario_name: &str,
+    mut sink: ReportSink<'_>,
     plan: &Plan,
     config: &SweepConfig,
-    opts: &StreamOptions,
-    prior: Resumption,
-    mut stream: ReportStream<Box<dyn SpoolFile>>,
-    mut ckpt_file: Box<dyn SpoolFile>,
-    ckpt_path: PathBuf,
-    report_path: &Path,
+    max_shards: Option<usize>,
     mut csv: Option<File>,
 ) -> Result<StreamSummary, String> {
     let layout = ShardLayout::new(plan.cells.len(), config.shard_size);
-    let shard_count = layout.shard_count();
-    let stop_shard = opts
-        .max_shards
-        .map_or(shard_count, |m| (prior.first_shard + m).min(shard_count));
+    let first_shard = sink.next_shard();
+    let shard_count = sink.totals.shard_count;
+    let stop_shard = max_shards.map_or(shard_count, |m| (first_shard + m).min(shard_count));
     let cache_before = plan.cache_stats();
-    let started = Instant::now();
-
-    let mut passed = prior.passed;
-    let mut failed = prior.failed;
-    let mut panicked = prior.panicked;
-    let mut exhausted = prior.exhausted;
-    let mut walls = prior.walls;
-    let mut cells_run = 0usize;
-    let mut shards_written = prior.first_shard;
-    let mut failures: Vec<(String, String)> = Vec::new();
-
-    run_shards(
+    let workers = run_shards(
         &plan.cells,
         config,
         layout,
-        prior.first_shard,
+        first_shard,
         stop_shard,
         &mut |shard, results: Vec<CellResult>| {
-            let mut record = ShardRecord {
-                shard,
-                cells: results.len(),
-                passed: 0,
-                failed: 0,
-                panicked: 0,
-                exhausted: 0,
-                end_offset: 0,
-                digest: 0,
-                elapsed_micros: 0,
-                cache: CacheStats::default(),
-                wall_micros: Vec::with_capacity(results.len()),
-            };
-            for cell in &results {
-                if cell.passed() {
-                    record.passed += 1;
-                } else if cell.panicked() {
-                    record.panicked += 1;
-                } else {
-                    record.failed += 1;
-                }
-                if cell.exhausted() {
-                    record.exhausted += 1;
-                }
-                if !cell.passed() {
-                    let what = match &cell.outcome {
-                        Ok(outcome) => outcome.verdict.clone(),
-                        Err(message) => format!("panic: {message}"),
-                    };
-                    failures.push((cell.spec.id.clone(), what));
-                }
-                record.wall_micros.push(cell.wall.as_micros() as u64);
-            }
-            stream
-                .write_cells(&results)
-                .map_err(|e| format!("writing {}: {e}", report_path.display()))?;
+            sink.append(
+                &ShardCells::tally(shard, &results),
+                plan.cache_stats().since(&cache_before),
+            )?;
             if let Some(csv_file) = csv.as_mut() {
                 let rows: String = results
                     .iter()
-                    .map(|cell| csv_row(scenario_name, cell, !opts.deterministic))
+                    .map(|cell| csv_row(&sink.totals.scenario, cell, !sink.deterministic))
                     .collect();
                 csv_file
                     .write_all(rows.as_bytes())
                     .map_err(|e| format!("writing csv: {e}"))?;
             }
-            record.end_offset = stream.offset();
-            record.digest = stream.digest();
-            record.elapsed_micros = prior.elapsed_micros + started.elapsed().as_micros() as u64;
-            record.cache = prior.cache.merged(&plan.cache_stats().since(&cache_before));
-            ckpt_file
-                .write_all(Checkpoint::render_shard(&record).as_bytes())
-                .and_then(|()| ckpt_file.flush())
-                .map_err(|e| format!("writing {}: {e}", ckpt_path.display()))?;
-            passed += record.passed;
-            failed += record.failed;
-            panicked += record.panicked;
-            exhausted += record.exhausted;
-            cells_run += record.cells;
-            walls.extend_from_slice(&record.wall_micros);
-            shards_written += 1;
             Ok(())
         },
     )?;
-
-    let total_wall = started.elapsed();
-    let cache = plan.cache_stats().since(&cache_before);
-    let completed = shards_written == shard_count;
-    if completed {
-        let summary = summary_json(plan.cells.len(), passed, failed, panicked, exhausted);
-        let perf = (!opts.deterministic).then(|| {
-            perf_json(
-                config.threads,
-                Duration::from_micros(prior.elapsed_micros) + total_wall,
-                &walls,
-                &prior.cache.merged(&cache),
-            )
-        });
-        stream
-            .finish(summary, perf)
-            .map_err(|e| format!("writing {}: {e}", report_path.display()))?;
-        io.remove_file(&ckpt_path)
-            .map_err(|e| format!("removing {}: {e}", ckpt_path.display()))?;
-    }
-    Ok(StreamSummary {
-        scenario: scenario_name.to_string(),
-        config: config.clone(),
-        cell_count: plan.cells.len(),
-        cells_run,
-        passed,
-        failed,
-        panicked,
-        exhausted,
-        shards_written,
-        shard_count,
-        completed,
-        total_wall,
-        cumulative_wall: Duration::from_micros(prior.elapsed_micros) + total_wall,
-        cumulative_cache: prior.cache.merged(&cache),
-        cache,
-        failures,
-    })
+    sink.finish(workers)
 }
 
 /// Executes shards `first_shard..stop_shard` over the configured worker
 /// count, invoking `emit` with each shard's results **in shard order** on
-/// the calling thread.
+/// the calling thread, and returns the number of workers that ran them.
 ///
 /// Workers claim shard indices from a shared counter, but a claim gate
 /// keeps every claim within a fixed window of the last emitted shard, and
 /// the result channel is bounded — so shards in flight (executing, queued,
 /// or held for reordering) never exceed the window, whatever the shard
-/// cost skew.  With one effective worker the calling thread runs shards
-/// directly; the emitted bytes are identical either way.
+/// cost skew.  With one effective worker (one thread asked for, or one
+/// shard to run) the calling thread runs shards directly; the emitted bytes
+/// are identical either way.
 pub(crate) fn run_shards(
     cells: &[PlannedCell],
     config: &SweepConfig,
@@ -1084,34 +1135,25 @@ pub(crate) fn run_shards(
     first_shard: usize,
     stop_shard: usize,
     emit: &mut dyn FnMut(usize, Vec<CellResult>) -> Result<(), String>,
-) -> Result<(), String> {
-    let run_shard = |shard: usize| -> Vec<CellResult> {
-        layout
-            .shard_range(shard)
-            .map(|index| run_cell(&cells[index], index, config))
-            .collect()
-    };
-    if first_shard >= stop_shard {
-        return Ok(());
-    }
-    let remaining_cells =
-        layout.shard_range(stop_shard - 1).end - layout.shard_range(first_shard).start;
-    let workers = effective_workers(config.threads, remaining_cells);
-    if workers <= 1 || stop_shard - first_shard <= 1 {
+) -> Result<usize, String> {
+    // Shards never outnumber cells, so clamping by the shard count also
+    // clamps by the cell count.
+    let workers = effective_workers(config.threads, stop_shard.saturating_sub(first_shard));
+    if workers == 1 {
         for shard in first_shard..stop_shard {
-            emit(shard, run_shard(shard))?;
+            emit(shard, run_shard(cells, config, layout, shard))?;
         }
-        return Ok(());
+    } else {
+        run_shards_sync::<StdSync, _>(
+            &|shard| run_shard(cells, config, layout, shard),
+            first_shard,
+            stop_shard,
+            workers,
+            workers * 2,
+            emit,
+        )?;
     }
-
-    run_shards_sync::<StdSync, _>(
-        &run_shard,
-        first_shard,
-        stop_shard,
-        workers,
-        workers * 2,
-        emit,
-    )
+    Ok(workers)
 }
 
 /// The claim-gate/bounded-channel/in-order-writer core of [`run_shards`],
@@ -1350,6 +1392,27 @@ mod tests {
                 "in-memory sink, threads = {threads}"
             );
         }
+    }
+
+    /// A one-shard plan runs on the calling thread whatever `threads`
+    /// asks for, and the summary, the snapshot and `perf.threads` say so.
+    #[test]
+    fn a_one_shard_plan_reports_the_one_worker_that_ran_it() {
+        let path = temp_path("one-shard");
+        let summary = run(
+            &SynthScenario,
+            &config(3, 4, 4),
+            &path,
+            &StreamOptions::default(),
+        )
+        .unwrap();
+        assert_eq!((summary.shard_count, summary.workers), (1, 1));
+        assert_eq!(summary.config.threads, 4);
+        assert!(summary.bench_snapshot_json().contains("\"threads\": 1"));
+        let report = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let perf = report.get("perf").unwrap();
+        assert_eq!(perf.get("threads").and_then(Json::as_u64), Some(1));
+        cleanup(&path);
     }
 
     #[test]

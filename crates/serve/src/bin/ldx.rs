@@ -340,13 +340,20 @@ fn resolve_scenario(
     }
 }
 
-fn print_summary(summary: &StreamSummary) {
+/// Prints a sweep's outcome.  A dispatched sweep ran on worker daemons,
+/// which own their canonical-view caches, so it prints no cache line.
+fn print_summary(summary: &StreamSummary, dispatched: bool) {
     outln!(
-        "{}: {} cells in {} shard(s) on {} thread(s) in {:.2?}{}",
+        "{}: {} cells in {} shard(s) on {} {} in {:.2?}{}",
         summary.scenario,
         summary.cell_count,
         summary.shard_count,
-        summary.config.threads,
+        summary.workers,
+        if dispatched {
+            "worker daemon(s)"
+        } else {
+            "thread(s)"
+        },
         summary.total_wall,
         if summary.cells_run < summary.cell_count && summary.completed {
             format!(
@@ -364,12 +371,14 @@ fn print_summary(summary: &StreamSummary) {
         summary.panicked,
         summary.exhausted
     );
-    outln!(
-        "  canonical-view cache: {} hits, {} misses, hit rate {:.1}%",
-        summary.cache.hits,
-        summary.cache.misses,
-        100.0 * summary.cache.hit_rate()
-    );
+    if !dispatched {
+        outln!(
+            "  canonical-view cache: {} hits, {} misses, hit rate {:.1}%",
+            summary.cache.hits,
+            summary.cache.misses,
+            100.0 * summary.cache.hit_rate()
+        );
+    }
     for (id, what) in &summary.failures {
         outln!("  FAIL {id} -> {what}");
     }
@@ -405,7 +414,7 @@ fn cmd_run(args: &[String]) -> Result<bool, CliError> {
         csv: run.csv.clone(),
     };
     let summary = stream::run(scenario.as_ref(), &run.config, &out, &opts)?;
-    print_summary(&summary);
+    print_summary(&summary, false);
     outln!("  report: {}", out.display());
     if let Some(csv) = &run.csv {
         outln!("  csv: {}", csv.display());
@@ -474,7 +483,7 @@ fn cmd_resume(args: &[String]) -> Result<bool, CliError> {
         }
         None => stream::resume(&report, threads, max_shards)?,
     };
-    print_summary(&summary);
+    print_summary(&summary, false);
     outln!("  report: {}", report.display());
     finish(&summary, bench_json.as_deref())
 }
@@ -1024,15 +1033,14 @@ fn cmd_dispatch(args: &[String]) -> Result<bool, CliError> {
     options.lease = Duration::from_millis(lease_ms);
     options.batch = batch;
     options.max_attempts = max_attempts;
-    let worker_count = options.workers.len();
     let result = ld_serve::dispatch(&options);
     stop_local_workers(spawned);
     let (summary, stats) = result?;
-    print_summary(&summary);
+    print_summary(&summary, true);
     outln!("  report: {}", out.display());
     outln!(
-        "  dispatch: {worker_count} worker(s), {} shard(s) reassigned, {} stale result(s) rejected, {} worker failure(s)",
-        stats.reassigned, stats.stale_rejected, stats.worker_failures
+        "  dispatch: {} worker(s), {} shard(s) reassigned, {} stale result(s) rejected, {} worker failure(s)",
+        summary.workers, stats.reassigned, stats.stale_rejected, stats.worker_failures
     );
     finish(&summary, bench_json.as_deref())
 }

@@ -3,21 +3,26 @@
 //!
 //! [`dispatch`] plans a scenario locally, splits the plan's
 //! [`ShardLayout`] across N running `ld-serve` daemons, and merges the
-//! returned per-shard cell fragments into one `ld-runner/report/v3`
-//! document that is **byte-identical** to a single-process
-//! `ldx run --deterministic` of the same config.  That identity holds by
-//! construction, not by luck:
+//! returned shards into one `ld-runner/report/v3` document that is
+//! **byte-identical** to a single-process `ldx run --deterministic` of the
+//! same config.  The remote leases are the second *shard source* of the
+//! sweep driver (the local pipeline is the first); the coordinator owns
+//! only what is remote — the lease table, the per-worker batch streams
+//! and the in-order merge loop — and writes through the driver's one
+//! sink.  So the identity holds by construction, not by luck:
 //!
 //! * Workers never randomise anything — per-cell seeds derive from global
 //!   cell indices ([`ld_runner::stream::execute_shard`]), so a shard computes the
 //!   same fragments wherever it runs, however many times it is retried.
-//! * The coordinator writes fragments strictly in shard order through
-//!   [`ReportStream::write_rendered_cells`], the exact path a local run
-//!   uses, and appends the same `.ckpt` records a local run would — so a
-//!   killed *coordinator* is recoverable too.
+//! * The merge loop appends shards strictly in shard order to a
+//!   [`ReportSink`], the writer `ldx run` and `ldx resume` use, so the
+//!   report, its `.ckpt` records and the summary are a local run's — and
+//!   a killed dispatch (coordinator or every worker) resumes with
+//!   `ldx resume` like any interrupted local run.
 //! * Every transported shard carries an FNV-1a digest over its fragment
-//!   bytes, recomputed and cross-checked on arrival: a torn or corrupted
-//!   response is a worker failure, never a corrupt report.
+//!   bytes and is checked against the plan's shard size on arrival
+//!   (`crate::shards`): a torn, corrupted or mis-sized response is a
+//!   worker failure, never a corrupt report.
 //!
 //! Fault tolerance is lease-based (see [`crate::lease`]): shards are
 //! granted under time-bounded leases with heartbeat renewal (every
@@ -29,18 +34,13 @@
 //! the sweep (poison-pill detection); losing *every* worker aborts too.
 
 use crate::client::{is_chunked, ChunkedReader, RetryPolicy};
-use crate::job::JobSpec;
 use crate::lease::{Assignment, Completion, LeasePolicy, LeaseTable};
-use crate::server::SHARDS_SCHEMA;
+use crate::shards;
 use ld_local::cache::CacheStats;
-use ld_runner::json::Json;
-use ld_runner::stream::{
-    fnv1a, Checkpoint, ReportStream, ShardLayout, ShardRecord, StreamSummary, FNV_OFFSET,
-};
-use ld_runner::{scenarios, SweepConfig};
+use ld_runner::stream::{ReportSink, ShardCells, ShardLayout, StreamSummary};
+use ld_runner::{scenarios, RealIo, SweepConfig};
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
@@ -107,22 +107,10 @@ pub struct DispatchStats {
     pub worker_failures: usize,
 }
 
-/// One verified shard result, as the merge loop consumes it.
-#[derive(Debug)]
-struct ShardOutput {
-    shard: usize,
-    fragments: Vec<String>,
-    passed: usize,
-    failed: usize,
-    panicked: usize,
-    exhausted: usize,
-    wall_micros: Vec<u64>,
-    failures: Vec<(String, String)>,
-}
-
 /// Shared state between the merge loop and the per-worker threads.
 struct Dispatcher {
     options: DispatchOptions,
+    layout: ShardLayout,
     table: Mutex<LeaseTable>,
     /// Wakes idle worker threads parked beside `table`: notified when
     /// shards are released back to pending and when `done` is set.
@@ -136,13 +124,15 @@ struct Dispatcher {
 
 /// Runs a distributed sweep; see the module docs.  Returns the same
 /// [`StreamSummary`] a local run would (cache counters are zero — the
-/// workers own their caches) plus the fault-handling tally.
+/// workers own their caches — and `workers` counts the worker daemons)
+/// plus the fault-handling tally.
 ///
 /// # Errors
 ///
 /// Returns a message when planning fails, no workers are given, every
 /// worker is lost, a shard exhausts its retry budget, or report I/O
-/// fails.  The partial report and its checkpoint are left on disk.
+/// fails.  The partial report and its checkpoint are left on disk, and
+/// `ldx resume` finishes them locally.
 pub fn dispatch(options: &DispatchOptions) -> Result<(StreamSummary, DispatchStats), String> {
     options.config.validate().map_err(|e| e.to_string())?;
     if options.workers.is_empty() {
@@ -150,39 +140,25 @@ pub fn dispatch(options: &DispatchOptions) -> Result<(StreamSummary, DispatchSta
     }
     let scenario = scenarios::find(&options.scenario)
         .ok_or_else(|| format!("unknown scenario '{}'", options.scenario))?;
-    let plan = scenario.plan(&options.config)?;
-    let layout = ShardLayout::new(plan.cells.len(), options.config.shard_size);
-    let shard_count = layout.shard_count();
-
-    let file = File::create(&options.out)
-        .map_err(|e| format!("creating {}: {e}", options.out.display()))?;
-    let stream = ReportStream::begin(file, &options.scenario, &options.config)
-        .map_err(|e| format!("writing {}: {e}", options.out.display()))?;
-    let ckpt_path = Checkpoint::path_for(&options.out);
-    let checkpoint = Checkpoint {
-        scenario: options.scenario.clone(),
-        deterministic: true,
-        config: options.config.clone(),
-        cell_count: plan.cells.len(),
-        shard_count,
-        header_offset: stream.offset(),
-        header_digest: stream.digest(),
-        shards: Vec::new(),
-    };
-    let mut ckpt_file =
-        File::create(&ckpt_path).map_err(|e| format!("creating {}: {e}", ckpt_path.display()))?;
-    ckpt_file
-        .write_all(checkpoint.render_header().as_bytes())
-        .and_then(|()| ckpt_file.flush())
-        .map_err(|e| format!("writing {}: {e}", ckpt_path.display()))?;
+    let cell_count = scenario.plan(&options.config)?.cells.len();
+    let mut sink = ReportSink::create(
+        &RealIo,
+        &options.out,
+        &options.scenario,
+        &options.config,
+        cell_count,
+        true,
+    )?;
 
     let policy = LeasePolicy {
         lease_ms: options.lease.as_millis().max(1) as u64,
         max_attempts: options.max_attempts,
     };
+    let layout = ShardLayout::new(cell_count, options.config.shard_size);
     let dispatcher = Dispatcher {
         options: options.clone(),
-        table: Mutex::new(LeaseTable::new(shard_count, policy)),
+        layout,
+        table: Mutex::new(LeaseTable::new(layout.shard_count(), policy)),
         idle: Condvar::new(),
         done: AtomicBool::new(false),
         origin: Instant::now(),
@@ -191,7 +167,7 @@ pub fn dispatch(options: &DispatchOptions) -> Result<(StreamSummary, DispatchSta
         worker_failures: AtomicUsize::new(0),
     };
 
-    let (tx, rx) = mpsc::channel::<ShardOutput>();
+    let (tx, rx) = mpsc::channel::<ShardCells>();
     let merged = thread::scope(|scope| {
         for addr in &dispatcher.options.workers {
             let tx = tx.clone();
@@ -199,7 +175,7 @@ pub fn dispatch(options: &DispatchOptions) -> Result<(StreamSummary, DispatchSta
             scope.spawn(move || dispatcher.worker_loop(addr, &tx));
         }
         drop(tx);
-        let merged = dispatcher.merge(&rx, stream, &mut ckpt_file, shard_count);
+        let merged = dispatcher.merge(&rx, &mut sink);
         // Unblock every worker thread before the scope joins them.  The
         // flag is set under the table lock idle threads check it under,
         // so the notify cannot slip between their check and their park.
@@ -210,44 +186,14 @@ pub fn dispatch(options: &DispatchOptions) -> Result<(StreamSummary, DispatchSta
         dispatcher.idle.notify_all();
         merged
     });
-    let merged = merged?;
-
-    std::fs::remove_file(&ckpt_path)
-        .map_err(|e| format!("removing {}: {e}", ckpt_path.display()))?;
+    merged?;
+    let summary = sink.finish(options.workers.len())?;
     let stats = DispatchStats {
         reassigned: dispatcher.reassigned.load(Ordering::SeqCst),
         stale_rejected: dispatcher.stale_rejected.load(Ordering::SeqCst),
         worker_failures: dispatcher.worker_failures.load(Ordering::SeqCst),
     };
-    let total_wall = dispatcher.origin.elapsed();
-    let summary = StreamSummary {
-        scenario: options.scenario.clone(),
-        config: options.config.clone(),
-        cell_count: plan.cells.len(),
-        cells_run: plan.cells.len(),
-        passed: merged.passed,
-        failed: merged.failed,
-        panicked: merged.panicked,
-        exhausted: merged.exhausted,
-        shards_written: shard_count,
-        shard_count,
-        completed: true,
-        total_wall,
-        cumulative_wall: total_wall,
-        cache: CacheStats::default(),
-        cumulative_cache: CacheStats::default(),
-        failures: merged.failures,
-    };
     Ok((summary, stats))
-}
-
-/// The merge loop's accumulated totals.
-struct MergedTotals {
-    passed: usize,
-    failed: usize,
-    panicked: usize,
-    exhausted: usize,
-    failures: Vec<(String, String)>,
 }
 
 impl Dispatcher {
@@ -268,7 +214,7 @@ impl Dispatcher {
     /// One coordinator-side thread per worker address: acquire a batch,
     /// stream it, repeat — with capped exponential backoff on failures
     /// and abandonment after `retry.attempts` consecutive ones.
-    fn worker_loop(&self, addr: &str, tx: &mpsc::Sender<ShardOutput>) {
+    fn worker_loop(&self, addr: &str, tx: &mpsc::Sender<ShardCells>) {
         let retry = self.options.retry;
         let mut consecutive = 0u32;
         let mut backoff = retry.backoff();
@@ -322,15 +268,15 @@ impl Dispatcher {
 
     /// Streams one leased batch from `addr`, verifying and fencing each
     /// returned shard.  Any irregularity — transport error, non-200, bad
-    /// framing, digest mismatch, early EOF — is one worker failure; the
-    /// caller releases whatever the batch did not complete.
+    /// framing, digest or shard-size mismatch, early EOF — is one worker
+    /// failure; the caller releases whatever the batch did not complete.
     fn run_batch(
         &self,
         addr: &str,
         assignment: &Assignment,
-        tx: &mpsc::Sender<ShardOutput>,
+        tx: &mpsc::Sender<ShardCells>,
     ) -> Result<(), String> {
-        let body = shards_body(&self.options.scenario, &self.options.config, assignment);
+        let body = shards::request_body(&self.options.scenario, &self.options.config, assignment);
         let read_timeout = self.options.lease.max(Duration::from_secs(1));
         let (status, headers, reader) =
             crate::client::open_stream(addr, "POST", "/shards", Some(&body), read_timeout)?;
@@ -354,7 +300,7 @@ impl Dispatcher {
             if line.trim().is_empty() {
                 continue;
             }
-            let (epoch, output) = parse_shard_line(&line)?;
+            let (epoch, output) = shards::parse_line(&line, self.layout)?;
             if epoch != assignment.epoch {
                 return Err(format!(
                     "{addr}: shard {} echoed epoch {epoch}, lease is epoch {}",
@@ -395,50 +341,36 @@ impl Dispatcher {
         Ok(())
     }
 
-    /// Receives verified shard results and writes them to the report and
-    /// checkpoint strictly in shard order, expiring leases on every tick.
-    fn merge<W: Write>(
+    /// Receives verified shards and appends them to `sink` strictly in
+    /// shard order, expiring leases on every tick.
+    fn merge(
         &self,
-        rx: &mpsc::Receiver<ShardOutput>,
-        mut stream: ReportStream<W>,
-        ckpt_file: &mut File,
-        shard_count: usize,
-    ) -> Result<MergedTotals, String> {
-        let out = &self.options.out;
-        let mut buffer: BTreeMap<usize, ShardOutput> = BTreeMap::new();
-        let mut next_shard = 0usize;
-        let mut totals = MergedTotals {
-            passed: 0,
-            failed: 0,
-            panicked: 0,
-            exhausted: 0,
-            failures: Vec::new(),
-        };
-        while next_shard < shard_count {
-            match rx.recv_timeout(MERGE_TICK) {
-                Ok(output) => {
-                    buffer.insert(output.shard, output);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // Every worker thread has exited; drain what arrived.
-                    while let Some(output) = buffer.remove(&next_shard) {
-                        self.write_shard(&mut stream, ckpt_file, &output, &mut totals)?;
-                        next_shard += 1;
-                    }
-                    if next_shard < shard_count {
-                        return Err(format!(
-                            "all {} worker(s) failed with {} of {shard_count} shards merged",
-                            self.options.workers.len(),
-                            next_shard
-                        ));
-                    }
-                    break;
-                }
+        rx: &mpsc::Receiver<ShardCells>,
+        sink: &mut ReportSink<'_>,
+    ) -> Result<(), String> {
+        let shard_count = self.layout.shard_count();
+        let mut buffer: BTreeMap<usize, ShardCells> = BTreeMap::new();
+        loop {
+            let received = rx.recv_timeout(MERGE_TICK);
+            let disconnected = matches!(received, Err(mpsc::RecvTimeoutError::Disconnected));
+            if let Ok(cells) = received {
+                buffer.insert(cells.shard, cells);
             }
-            while let Some(output) = buffer.remove(&next_shard) {
-                self.write_shard(&mut stream, ckpt_file, &output, &mut totals)?;
-                next_shard += 1;
+            while let Some(cells) = buffer.remove(&sink.next_shard()) {
+                // Workers own their canonical-view caches; the coordinator
+                // has none to report.
+                sink.append(&cells, CacheStats::default())?;
+            }
+            let merged = sink.next_shard();
+            if merged == shard_count {
+                return Ok(());
+            }
+            if disconnected {
+                // Every worker thread has exited with shards still missing.
+                return Err(format!(
+                    "all {} worker(s) failed with {merged} of {shard_count} shards merged",
+                    self.options.workers.len()
+                ));
             }
             let exhausted = {
                 let mut table = self.lock_table();
@@ -451,230 +383,9 @@ impl Dispatcher {
                     "shard {shard} failed more than {} times; aborting the sweep \
                      (partial report and checkpoint left at {})",
                     self.options.max_attempts,
-                    out.display()
+                    self.options.out.display()
                 ));
             }
         }
-        let summary = ld_runner::report::summary_json(
-            stream.cells_written(),
-            totals.passed,
-            totals.failed,
-            totals.panicked,
-            totals.exhausted,
-        );
-        stream
-            .finish(summary, None)
-            .map_err(|e| format!("writing {}: {e}", out.display()))?;
-        Ok(totals)
-    }
-
-    /// Appends one accepted shard to the report and the checkpoint.
-    fn write_shard<W: Write>(
-        &self,
-        stream: &mut ReportStream<W>,
-        ckpt_file: &mut File,
-        output: &ShardOutput,
-        totals: &mut MergedTotals,
-    ) -> Result<(), String> {
-        stream
-            .write_rendered_cells(&output.fragments)
-            .map_err(|e| format!("writing {}: {e}", self.options.out.display()))?;
-        let record = ShardRecord {
-            shard: output.shard,
-            cells: output.fragments.len(),
-            passed: output.passed,
-            failed: output.failed,
-            panicked: output.panicked,
-            exhausted: output.exhausted,
-            end_offset: stream.offset(),
-            digest: stream.digest(),
-            elapsed_micros: self.origin.elapsed().as_micros() as u64,
-            // Workers own their canonical-view caches; the coordinator
-            // has none to report.
-            cache: CacheStats::default(),
-            wall_micros: output.wall_micros.clone(),
-        };
-        ckpt_file
-            .write_all(Checkpoint::render_shard(&record).as_bytes())
-            .and_then(|()| ckpt_file.flush())
-            .map_err(|e| format!("writing checkpoint for {}: {e}", self.options.out.display()))?;
-        totals.passed += output.passed;
-        totals.failed += output.failed;
-        totals.panicked += output.panicked;
-        totals.exhausted += output.exhausted;
-        totals.failures.extend(output.failures.iter().cloned());
-        Ok(())
-    }
-}
-
-/// The `POST /shards` request body for one assignment.
-fn shards_body(scenario: &str, config: &SweepConfig, assignment: &Assignment) -> String {
-    let spec = JobSpec {
-        scenario: scenario.to_string(),
-        priority: 0,
-        config: config.clone(),
-        scenario_doc: None,
-    };
-    spec.to_json()
-        .set("schema", SHARDS_SCHEMA)
-        .set("epoch", assignment.epoch)
-        .set("first_shard", assignment.shards.start)
-        .set("stop_shard", assignment.shards.end)
-        .render_compact()
-}
-
-/// Parses and integrity-checks one worker result line; returns the echoed
-/// epoch alongside the output.
-///
-/// # Errors
-///
-/// Returns a message on structural problems or a digest mismatch (the
-/// fragments do not hash to the digest the worker computed at execution
-/// time — bytes were torn or reordered in transit).
-fn parse_shard_line(line: &str) -> Result<(u64, ShardOutput), String> {
-    let json = Json::parse(line).map_err(|e| format!("bad shard line: {e}"))?;
-    let number = |key: &str| {
-        json.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("shard line missing integer '{key}'"))
-    };
-    let strings = |key: &str| -> Result<Vec<String>, String> {
-        json.get(key)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("shard line missing array '{key}'"))?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("non-string entry in '{key}'"))
-            })
-            .collect()
-    };
-    let shard = number("shard")? as usize;
-    let epoch = number("epoch")?;
-    let digest = number("digest")?;
-    let fragments = strings("cells")?;
-    let mut check = FNV_OFFSET;
-    for fragment in &fragments {
-        check = fnv1a(check, fragment.as_bytes());
-    }
-    if check != digest {
-        return Err(format!(
-            "shard {shard}: fragment digest {check:#018x} does not match reported {digest:#018x}"
-        ));
-    }
-    let wall_micros = json
-        .get("wall_micros")
-        .and_then(Json::as_arr)
-        .ok_or("shard line missing array 'wall_micros'")?
-        .iter()
-        .map(|v| v.as_u64().ok_or("non-integer entry in 'wall_micros'"))
-        .collect::<Result<Vec<u64>, _>>()?;
-    let failures = json
-        .get("failures")
-        .and_then(Json::as_arr)
-        .ok_or("shard line missing array 'failures'")?
-        .iter()
-        .map(|pair| {
-            let pair = pair.as_arr().ok_or("failure entry is not a pair")?;
-            match pair {
-                [id, what] => Ok((
-                    id.as_str().ok_or("failure id is not a string")?.to_string(),
-                    what.as_str()
-                        .ok_or("failure message is not a string")?
-                        .to_string(),
-                )),
-                _ => Err("failure entry is not a pair".to_string()),
-            }
-        })
-        .collect::<Result<Vec<(String, String)>, String>>()?;
-    Ok((
-        epoch,
-        ShardOutput {
-            shard,
-            fragments,
-            passed: number("passed")? as usize,
-            failed: number("failed")? as usize,
-            panicked: number("panicked")? as usize,
-            exhausted: number("exhausted")? as usize,
-            wall_micros,
-            failures,
-        },
-    ))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn line_for(fragments: &[&str], digest: u64) -> String {
-        let mut json = Json::object()
-            .set("shard", 3u64)
-            .set("epoch", 7u64)
-            .set("digest", digest)
-            .set("passed", 1u64)
-            .set("failed", 1u64)
-            .set("panicked", 0u64)
-            .set("exhausted", 0u64)
-            .set("wall_micros", Json::array([5u64, 9u64]))
-            .set(
-                "failures",
-                Json::Arr(vec![Json::array(["cell-b", "verdict mismatch"])]),
-            );
-        json = json.set(
-            "cells",
-            Json::Arr(
-                fragments
-                    .iter()
-                    .map(|f| Json::Str((*f).to_string()))
-                    .collect(),
-            ),
-        );
-        json.render_compact()
-    }
-
-    #[test]
-    fn shard_lines_round_trip_with_digest_verification() {
-        let fragments = ["{\n      \"id\": \"cell-a\"\n    }", "{\"id\":\"cell-b\"}"];
-        let digest = fragments
-            .iter()
-            .fold(FNV_OFFSET, |h, f| fnv1a(h, f.as_bytes()));
-        let (epoch, output) = parse_shard_line(&line_for(&fragments, digest)).expect("parse");
-        assert_eq!(epoch, 7);
-        assert_eq!(output.shard, 3);
-        assert_eq!(output.fragments.len(), 2);
-        assert_eq!(output.fragments[0], fragments[0]);
-        assert_eq!(output.passed, 1);
-        assert_eq!(output.wall_micros, vec![5, 9]);
-        assert_eq!(
-            output.failures,
-            vec![("cell-b".to_string(), "verdict mismatch".to_string())]
-        );
-    }
-
-    #[test]
-    fn corrupted_fragments_fail_the_digest_cross_check() {
-        let fragments = ["{\"id\":\"cell-a\"}"];
-        let err = parse_shard_line(&line_for(&fragments, 0xdead_beef)).expect_err("mismatch");
-        assert!(err.contains("digest"), "{err}");
-    }
-
-    #[test]
-    fn shards_bodies_carry_the_wire_schema_and_range() {
-        let assignment = Assignment {
-            worker: "127.0.0.1:7117".to_string(),
-            epoch: 12,
-            shards: 4..9,
-        };
-        let body = shards_body("section2-sweep", &SweepConfig::default(), &assignment);
-        let json = Json::parse(&body).expect("parse");
-        assert_eq!(
-            json.get("schema").and_then(Json::as_str),
-            Some(SHARDS_SCHEMA)
-        );
-        assert_eq!(json.get("epoch").and_then(Json::as_u64), Some(12));
-        assert_eq!(json.get("first_shard").and_then(Json::as_u64), Some(4));
-        assert_eq!(json.get("stop_shard").and_then(Json::as_u64), Some(9));
-        assert!(json.get("config").is_some());
     }
 }

@@ -27,12 +27,16 @@
 //!   `GET /jobs/<id>/report` as a chunked live tail of the report file,
 //!   `DELETE /jobs/<id>`, `GET /scenarios`, `POST /shards`,
 //!   `POST /shutdown`).
-//! * **Distributed dispatch** ([`lease`], [`coordinator`]): `ldx dispatch`
-//!   splits one sweep's shard layout across N worker daemons under
-//!   time-bounded, epoch-fenced leases, retries lost workers with capped
-//!   exponential backoff, and merges the verified shard results into a
-//!   report byte-identical to a single-process deterministic run.  See
-//!   `docs/FAULTS.md` for the failure-mode matrix.
+//! * **Distributed dispatch** ([`lease`], [`coordinator`], `shards`):
+//!   `ldx dispatch` splits one sweep's shard layout across N worker
+//!   daemons under time-bounded, epoch-fenced leases, retries lost workers
+//!   with capped exponential backoff, and merges the verified shard
+//!   results through the sweep driver's own report sink — the remote
+//!   shard source beside the local pipeline — into a report
+//!   byte-identical to a single-process deterministic run.  The
+//!   `POST /shards` wire format (request and result line, both ends)
+//!   lives in one private module, `shards`.  See `docs/FAULTS.md` for
+//!   the failure-mode matrix.
 //!
 //! See `crates/serve/DESIGN.md` for the protocol, the job lifecycle state
 //! machine, the spool layout and the model-checking story.
@@ -47,6 +51,7 @@ pub mod job;
 pub mod lease;
 pub mod queue;
 pub mod server;
+mod shards;
 pub mod spool;
 
 pub use client::RetryPolicy;

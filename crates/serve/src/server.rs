@@ -34,6 +34,8 @@
 use crate::http::{self, ChunkedWriter, Request};
 use crate::job::{JobRecord, JobSpec, JobState, SubmitError};
 use crate::queue::{JobQueue, JobTable};
+use crate::shards;
+pub use crate::shards::SHARDS_SCHEMA;
 use crate::spool::{RecoveredState, Spool};
 use ld_local::CachePool;
 use ld_runner::json::Json;
@@ -382,42 +384,6 @@ fn submit(shared: &Shared, body: &[u8]) -> Result<(u64, JobRecord), SubmitError>
     Ok((id, record))
 }
 
-/// The wire schema of `POST /shards` bodies.
-pub const SHARDS_SCHEMA: &str = "ld-serve/shards/v1";
-
-/// The parsed body of one `POST /shards` request.
-struct ShardsRequest {
-    spec: JobSpec,
-    epoch: u64,
-    first_shard: usize,
-    stop_shard: usize,
-}
-
-/// Parses a `POST /shards` body: a [`JobSpec`]-shaped document plus the
-/// dispatch fields (`schema`, `epoch`, `first_shard`, `stop_shard`).
-fn parse_shards_request(body: &[u8]) -> Result<ShardsRequest, SubmitError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| SubmitError::Malformed("body is not UTF-8".to_string()))?;
-    let json = Json::parse(text).map_err(SubmitError::Malformed)?;
-    if json.get("schema").and_then(Json::as_str) != Some(SHARDS_SCHEMA) {
-        return Err(SubmitError::Malformed(format!(
-            "missing or unsupported 'schema' (want \"{SHARDS_SCHEMA}\")"
-        )));
-    }
-    let spec = JobSpec::from_json(&json)?;
-    let number = |key: &str| {
-        json.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| SubmitError::Malformed(format!("missing integer field '{key}'")))
-    };
-    Ok(ShardsRequest {
-        spec,
-        epoch: number("epoch")?,
-        first_shard: number("first_shard")? as usize,
-        stop_shard: number("stop_shard")? as usize,
-    })
-}
-
 /// `POST /shards`: execute shards `first_shard..stop_shard` of a scenario
 /// plan and stream one compact-JSON result line per shard, each sent as
 /// its own chunk.  The coordinator treats chunk arrival as the worker's
@@ -434,7 +400,7 @@ fn run_shards_request(shared: &Shared, body: &[u8], writer: &mut TcpStream) {
         respond(writer, e.status(), &e.body());
         return;
     }
-    let request = match parse_shards_request(body) {
+    let request = match shards::parse_request(body) {
         Ok(request) => request,
         Err(e) => {
             respond(writer, e.status(), &e.body());
@@ -484,8 +450,7 @@ fn run_shards_request(shared: &Shared, body: &[u8], writer: &mut TcpStream) {
         let cells = with_cache_pool(&shared.cache_pool, || {
             stream::execute_shard(&plan.cells, &config, layout, shard)
         });
-        let mut line = shard_line(&cells, request.epoch).render_compact();
-        line.push('\n');
+        let line = shards::render_line(&cells, request.epoch);
         if chunks.chunk(line.as_bytes()).is_err() {
             // The coordinator hung up (lease expired, or it finished with
             // results from elsewhere): abandon the rest of the batch.
@@ -493,42 +458,6 @@ fn run_shards_request(shared: &Shared, body: &[u8], writer: &mut TcpStream) {
         }
     }
     let _ = chunks.finish();
-}
-
-/// One shard's wire line for the `POST /shards` stream.
-fn shard_line(cells: &stream::ShardCells, epoch: u64) -> Json {
-    Json::object()
-        .set("shard", cells.shard)
-        .set("epoch", epoch)
-        .set("digest", cells.digest)
-        .set("passed", cells.passed)
-        .set("failed", cells.failed)
-        .set("panicked", cells.panicked)
-        .set("exhausted", cells.exhausted)
-        .set(
-            "wall_micros",
-            Json::array(cells.wall_micros.iter().copied()),
-        )
-        .set(
-            "failures",
-            Json::Arr(
-                cells
-                    .failures
-                    .iter()
-                    .map(|(id, what)| Json::array([id.as_str(), what.as_str()]))
-                    .collect(),
-            ),
-        )
-        .set(
-            "cells",
-            Json::Arr(
-                cells
-                    .fragments
-                    .iter()
-                    .map(|f| Json::Str(f.clone()))
-                    .collect(),
-            ),
-        )
 }
 
 /// `DELETE /jobs/<id>`: cancel a queued job, purge a terminal one, refuse

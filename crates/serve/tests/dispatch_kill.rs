@@ -10,10 +10,15 @@
 //! is timed by the dispatch's own checkpoint, not by the clock, so it
 //! lands mid-sweep however fast the cells run, and the test asserts that
 //! fault handling actually ran.
+//!
+//! A dispatch that loses *every* worker fails, but its report prefix and
+//! checkpoint are the local driver's own: the second test kills the only
+//! worker, expects the dispatch to fail, then finishes the report with
+//! `stream::resume` and byte-compares it with a single-process run.
 
 use ld_runner::stream::{self, Checkpoint, StreamOptions};
 use ld_runner::{scenarios, SweepConfig};
-use ld_serve::DispatchOptions;
+use ld_serve::{DispatchOptions, RetryPolicy};
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
@@ -164,6 +169,90 @@ fn dispatch_with_a_sigkilled_worker_byte_matches_single_process() {
         dispatched, reference,
         "merged report must byte-match the single-process run \
          (stats: {stats:?})"
+    );
+
+    let _ = std::fs::remove_file(&reference_path);
+    let _ = std::fs::remove_file(&dispatched_path);
+}
+
+#[test]
+fn dispatch_that_loses_every_worker_resumes_to_the_single_process_bytes() {
+    let dir = std::env::temp_dir();
+    let reference_path = dir.join(format!("ldx-dk-lost-ref-{}.json", std::process::id()));
+    let dispatched_path = dir.join(format!("ldx-dk-lost-{}.json", std::process::id()));
+
+    let scenario = scenarios::find("section2-sweep-xl").expect("scenario");
+    let single = SweepConfig {
+        threads: 1,
+        ..config()
+    };
+    let opts = StreamOptions {
+        deterministic: true,
+        max_shards: None,
+        csv: None,
+    };
+    stream::run(scenario.as_ref(), &single, &reference_path, &opts).expect("reference run");
+    let reference = std::fs::read(&reference_path).expect("reference bytes");
+
+    let mut worker = spawn_worker("lost", 0);
+    let mut options = DispatchOptions::new("section2-sweep-xl", &dispatched_path);
+    options.config = config();
+    options.workers = vec![worker.addr.clone()];
+    options.lease = Duration::from_secs(2);
+    // Give up on the dead worker quickly: the test is about what the
+    // failed dispatch leaves behind, not about how long it retries.
+    options.retry = RetryPolicy {
+        attempts: 2,
+        base: Duration::from_millis(10),
+        cap: Duration::from_millis(50),
+    };
+
+    let ckpt = Checkpoint::path_for(&dispatched_path);
+    let finished = Arc::new(AtomicBool::new(false));
+    let killer = {
+        let finished = Arc::clone(&finished);
+        let ckpt = ckpt.clone();
+        std::thread::spawn(move || {
+            let mut killed_at = None;
+            while !finished.load(Ordering::Acquire) {
+                if let Some((merged, total)) = checkpoint_progress(&ckpt) {
+                    if merged >= KILL_AFTER_SHARDS {
+                        worker.child.kill().expect("SIGKILL the only worker");
+                        killed_at = Some((merged, total));
+                        break;
+                    }
+                }
+                std::thread::sleep(Duration::from_micros(500));
+            }
+            (worker, killed_at)
+        })
+    };
+
+    let result = ld_serve::dispatch(&options);
+    finished.store(true, Ordering::Release);
+    let (worker, killed_at) = killer.join().expect("killer thread");
+    stop_workers(vec![worker]);
+
+    let (merged, total) = killed_at.expect("the dispatch finished before the kill");
+    let err = result.expect_err("a dispatch with no worker left must fail");
+    let (left_merged, left_total) = checkpoint_progress(&ckpt).expect("checkpoint left behind");
+    assert_eq!(left_total, total);
+    assert!(
+        left_merged >= merged && left_merged < total,
+        "{left_merged} of {total} shards checkpointed after: {err}"
+    );
+
+    let resumed = stream::resume(&dispatched_path, Some(1), None).expect("resume");
+    assert!(resumed.completed);
+    assert!(
+        resumed.cells_run < resumed.cell_count,
+        "the dispatched shards must be kept, not re-run"
+    );
+    assert!(!ckpt.exists(), "resume removes the checkpoint");
+    let resumed_bytes = std::fs::read(&dispatched_path).expect("resumed bytes");
+    assert!(
+        resumed_bytes == reference,
+        "the resumed dispatch must byte-match the single-process run"
     );
 
     let _ = std::fs::remove_file(&reference_path);
