@@ -12,11 +12,10 @@
 use crate::error::ConstructionError;
 use crate::Result;
 use ld_graph::{generators, LabeledGraph, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// The label of a pyramid node: its coordinates within its level and its
 /// level (0 = the base grid, `h` = the apex).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PyramidLabel {
     /// Column within the level.
     pub x: u32,

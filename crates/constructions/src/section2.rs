@@ -22,11 +22,10 @@ use crate::Result;
 use ld_graph::{generators, Graph, LabeledGraph, NodeId};
 use ld_local::hashing::{FxHashMap, FxHashSet};
 use ld_local::{IdBound, Property};
-use serde::{Deserialize, Serialize};
 
 /// A position in a layered complete binary tree: `x` is the horizontal index
 /// within level `y` (`0 <= x < 2^y`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Coord {
     /// Horizontal position within the level.
     pub x: u64,
@@ -44,7 +43,7 @@ impl Coord {
 /// The node label of the Section 2 construction: the parameter `r` plus the
 /// node's coordinates; the pivot node of a small instance carries no
 /// coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Section2Label {
     /// The locality parameter `r` (shared by every node of an instance).
     pub r: u32,
@@ -485,7 +484,7 @@ pub mod promise {
     use super::*;
 
     /// The constant label of the promise-problem cycles.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
     pub struct CycleParamLabel {
         /// The announced cycle length `r`.
         pub r: u64,

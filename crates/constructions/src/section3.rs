@@ -21,7 +21,6 @@ use ld_graph::{generators, Graph, LabeledGraph, NodeId};
 use ld_local::enumeration::{collect_oblivious_views, distinct_oblivious_views};
 use ld_local::{ObliviousView, Property};
 use ld_turing::{Cell, ExecutionTable, RunOutcome, SharedMachine, Symbol, TuringMachine};
-use serde::{Deserialize, Serialize};
 
 /// The node label of `G(M, r)`: every node is a cell of some table or
 /// fragment, carrying the machine, the locality parameter, the
@@ -38,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// per instance, and print as if each held its own copy.  Deciders ask the
 /// handle whether `M` halts within a budget, which simulates `M` once per
 /// instance rather than once per node.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Section3Label {
     /// The machine `M` whose execution is embedded (shared by every node).
     pub machine: SharedMachine,
@@ -418,7 +417,7 @@ pub mod promise {
     /// The constant label of the promise-problem cycles.  Every node holds
     /// the same [`SharedMachine`], so the cycle stores one machine and the
     /// deciders simulate it once.
-    #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     pub struct MachineLabel {
         /// The machine every node is told about.
         pub machine: SharedMachine,

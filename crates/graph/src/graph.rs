@@ -2,7 +2,6 @@
 
 use crate::error::GraphError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node *position* inside a [`Graph`].
@@ -11,9 +10,7 @@ use std::fmt;
 /// identifier `Id(v)` of the LOCAL model — those are assigned separately by
 /// the `ld-local` crate precisely because the paper studies what happens when
 /// they are reassigned.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -79,7 +76,7 @@ impl fmt::Display for NodeId {
 /// assert!(!g.has_edge(a, c));
 /// # Ok::<(), ld_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Graph {
     offsets: Vec<u32>,
     targets: Vec<NodeId>,
@@ -636,19 +633,5 @@ mod tests {
     fn degree_sequence_is_sorted_descending() {
         let g = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3)]).unwrap();
         assert_eq!(g.degree_sequence(), vec![3, 1, 1, 1]);
-    }
-
-    #[test]
-    fn from_edges_roundtrips_through_serde() {
-        let g = triangle();
-        let json = serde_json_like(&g);
-        assert!(json.contains("offsets") && json.contains("targets"));
-    }
-
-    // We avoid depending on serde_json in the library; this sanity check just
-    // exercises the Serialize impl through the debug formatter of the
-    // serialized structure produced by serde's derive.
-    fn serde_json_like(g: &Graph) -> String {
-        format!("offsets={:?} targets={:?}", g.offsets, g.targets)
     }
 }

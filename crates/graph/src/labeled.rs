@@ -3,7 +3,6 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::{GraphError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A labelled graph `(G, x)` where each node `v` carries a local input
 /// `x(v)` of type `L`.
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(*lg.label(ld_graph::NodeId(2)), 0);
 /// # Ok::<(), ld_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabeledGraph<L> {
     graph: Graph,
     labels: Vec<L>,

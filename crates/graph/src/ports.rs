@@ -9,13 +9,12 @@
 
 use crate::graph::{csr_offset, Graph, NodeId};
 use crate::{GraphError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A port numbering: every node numbers its incident edges `0..deg(v)`.
 ///
 /// Stored in [`Graph`]'s compressed-sparse-row layout: node `v`'s
 /// neighbours, ordered by port number, are `ports[offsets[v]..offsets[v + 1]]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortNumbering {
     offsets: Vec<u32>,
     ports: Vec<NodeId>,
@@ -94,7 +93,7 @@ impl PortNumbering {
 }
 
 /// An orientation assigns a direction to every edge of a graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Orientation {
     /// Directed edges `(tail, head)`, one per undirected edge, sorted.
     arcs: Vec<(NodeId, NodeId)>,

@@ -3,11 +3,10 @@
 
 use crate::view::{ObliviousViewRef, ViewRef};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The per-node output of a decision algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Verdict {
     /// The node accepts.
     Yes,

@@ -19,11 +19,10 @@ use crate::input::Input;
 use crate::property::Property;
 use ld_graph::{BallExtractor, NodeId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::hash::Hash;
 
 /// The global outcome of running a decision algorithm on an input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionOutcome {
     /// Every node output `yes`.
     Accept,

@@ -6,7 +6,6 @@ use crate::hashing::FxHashSet;
 use crate::Result;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -18,7 +17,7 @@ use std::sync::Arc;
 /// explicit generators: consecutive, shuffled, bounded (assumption (B)),
 /// unbounded, and adversarial assignments placing a chosen value at a chosen
 /// node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdAssignment {
     ids: Vec<u64>,
 }

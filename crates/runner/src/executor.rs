@@ -10,7 +10,7 @@
 //! 2. **Panic isolation**: a panicking cell is caught with
 //!    [`std::panic::catch_unwind`] and recorded as an error outcome; the
 //!    sweep keeps going.
-//! 3. **Worker clamping**: the worker count is clamped to the cell count
+//! 3. **Worker clamping**: the worker count is clamped to the shard count
 //!    and to the machine's available parallelism.  More workers than
 //!    hardware threads cannot make a CPU-bound sweep faster; they only add
 //!    spawn cost, context switching and lock pressure on the shared view
@@ -56,7 +56,7 @@ pub fn execute(scenario: &dyn Scenario, config: &SweepConfig) -> Result<RunRepor
     let stats_before = plan.cache_stats();
     let started = Instant::now();
     let mut cells = Vec::with_capacity(plan.cells.len());
-    stream::run_shards(
+    let workers = stream::run_shards(
         &plan.cells,
         config,
         layout,
@@ -73,6 +73,7 @@ pub fn execute(scenario: &dyn Scenario, config: &SweepConfig) -> Result<RunRepor
         scenario.name(),
         config.clone(),
         cells,
+        workers,
         total_wall,
         cache,
     ))

@@ -1,8 +1,8 @@
 //! A minimal JSON document builder and reader.
 //!
-//! The workspace builds offline against a vendored `serde` whose derives are
-//! markers only (no codec backend), so the runner carries its own codec for
-//! the two directions it needs: emitting reports, and reading them back
+//! The workspace builds offline with no serialisation crate, so the runner
+//! carries its own codec for the two directions it needs: emitting reports,
+//! and reading them back
 //! ([`Json::parse`], the substrate of the version-compatible
 //! [`crate::summary::ReportSummary`] reader).  Rendering is fully
 //! deterministic — object keys keep insertion order and numbers format the

@@ -40,6 +40,9 @@ pub struct RunReport {
     pub config: SweepConfig,
     /// Per-cell results, in planning order.
     pub cells: Vec<CellResult>,
+    /// Workers that ran the cells: `config.threads` clamped to the shard
+    /// count and the hardware, as `perf.threads` records it.
+    pub workers: usize,
     /// Wall-clock time of the whole sweep.
     pub total_wall: Duration,
     /// Canonical-view-cache counters accumulated during this run.
@@ -52,6 +55,7 @@ impl RunReport {
         scenario: &str,
         config: SweepConfig,
         cells: Vec<CellResult>,
+        workers: usize,
         total_wall: Duration,
         cache: CacheStats,
     ) -> Self {
@@ -59,6 +63,7 @@ impl RunReport {
             scenario: scenario.to_string(),
             config,
             cells,
+            workers,
             total_wall,
             cache,
         }
@@ -115,7 +120,7 @@ impl RunReport {
             .map(|c| c.wall.as_micros() as u64)
             .collect();
         self.render(Some(perf_json(
-            self.config.threads,
+            self.workers,
             self.total_wall,
             &walls,
             &self.cache,
@@ -373,6 +378,7 @@ mod tests {
                 ..SweepConfig::default()
             },
             cells,
+            4,
             Duration::from_millis(2),
             CacheStats {
                 hits: 3,

@@ -290,6 +290,45 @@ pub(crate) fn promise_cells(
     }
 }
 
+/// Plans the five radius-3 families in order (paths `path_step` apart,
+/// path coverage, grid profiles, layered trees, promise cycles), every
+/// cell under `budget`.  `section2-sweep-r3` and `section2-sweep-xl` differ
+/// only in the budget and the path stride they pass.
+pub(crate) fn plan_radius3_families(
+    config: &SweepConfig,
+    budget: EnumerationBudget,
+    path_step: usize,
+) -> Result<Plan, String> {
+    let radius = config.radius_or(3);
+    let mut plan = Plan::new();
+    let structural_cache = plan.share_cache::<u8>();
+    let tree_cache = plan.share_cache::<Section2Label>();
+    let promise_cache = plan.share_cache::<CycleParamLabel>();
+
+    path_cells(
+        &mut plan,
+        &structural_cache,
+        config,
+        radius,
+        budget,
+        path_step,
+    );
+    path_coverage_cells(&mut plan, &structural_cache, config, radius, budget);
+    grid_profile_cells(&mut plan, &structural_cache, config, radius, budget);
+    tree_family_cells(&mut plan, &tree_cache, config, radius, budget, MAX_ROOTS)?;
+    promise_cells(&mut plan, &promise_cache, config, radius, budget);
+
+    if plan.cells.is_empty() {
+        return Err(format!(
+            "max_n = {} leaves no radius-{radius} cell; paths need {} nodes and \
+             promise cycles need 9",
+            config.max_n,
+            2 * radius + 2
+        ));
+    }
+    Ok(plan)
+}
+
 impl Scenario for Section2SweepR3 {
     fn name(&self) -> &str {
         "section2-sweep-r3"
@@ -300,35 +339,7 @@ impl Scenario for Section2SweepR3 {
     }
 
     fn plan(&self, config: &SweepConfig) -> Result<Plan, String> {
-        let radius = config.radius_or(3);
-        let budget = config.enumeration_budget();
-        let mut plan = Plan::new();
-        let structural_cache = plan.share_cache::<u8>();
-        let tree_cache = plan.share_cache::<Section2Label>();
-        let promise_cache = plan.share_cache::<CycleParamLabel>();
-
-        path_cells(
-            &mut plan,
-            &structural_cache,
-            config,
-            radius,
-            budget,
-            PATH_STEP,
-        );
-        path_coverage_cells(&mut plan, &structural_cache, config, radius, budget);
-        grid_profile_cells(&mut plan, &structural_cache, config, radius, budget);
-        tree_family_cells(&mut plan, &tree_cache, config, radius, budget, MAX_ROOTS)?;
-        promise_cells(&mut plan, &promise_cache, config, radius, budget);
-
-        if plan.cells.is_empty() {
-            return Err(format!(
-                "max_n = {} leaves no radius-{radius} cell; paths need {} nodes and \
-                 promise cycles need 9",
-                config.max_n,
-                2 * radius + 2
-            ));
-        }
-        Ok(plan)
+        plan_radius3_families(config, config.enumeration_budget(), PATH_STEP)
     }
 }
 

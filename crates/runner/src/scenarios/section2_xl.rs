@@ -13,13 +13,8 @@
 //! shard.  Exhaustion under the scaled default would itself be a finding —
 //! the acceptance sweep completes with zero exhausted cells.
 
-use super::section2_r3::{
-    grid_profile_cells, path_cells, path_coverage_cells, promise_cells, tree_family_cells,
-    MAX_ROOTS,
-};
+use super::section2_r3::plan_radius3_families;
 use crate::scenario::{Plan, Scenario, SweepConfig};
-use ld_constructions::section2::promise::CycleParamLabel;
-use ld_constructions::section2::Section2Label;
 use ld_local::enumeration::EnumerationBudget;
 
 /// The swept path sizes step `max_n / XL_PATH_STRIDE_DIVISOR` apart (at
@@ -40,29 +35,10 @@ impl Scenario for Section2SweepXl {
     }
 
     fn plan(&self, config: &SweepConfig) -> Result<Plan, String> {
-        let radius = config.radius_or(3);
-        let budget = config.enumeration_budget_or(EnumerationBudget::scaled(config.max_n, radius));
+        let budget = config
+            .enumeration_budget_or(EnumerationBudget::scaled(config.max_n, config.radius_or(3)));
         let step = (config.max_n / XL_PATH_STRIDE_DIVISOR).max(8);
-        let mut plan = Plan::new();
-        let structural_cache = plan.share_cache::<u8>();
-        let tree_cache = plan.share_cache::<Section2Label>();
-        let promise_cache = plan.share_cache::<CycleParamLabel>();
-
-        path_cells(&mut plan, &structural_cache, config, radius, budget, step);
-        path_coverage_cells(&mut plan, &structural_cache, config, radius, budget);
-        grid_profile_cells(&mut plan, &structural_cache, config, radius, budget);
-        tree_family_cells(&mut plan, &tree_cache, config, radius, budget, MAX_ROOTS)?;
-        promise_cells(&mut plan, &promise_cache, config, radius, budget);
-
-        if plan.cells.is_empty() {
-            return Err(format!(
-                "max_n = {} leaves no radius-{radius} cell; paths need {} nodes and \
-                 promise cycles need 9",
-                config.max_n,
-                2 * radius + 2
-            ));
-        }
-        Ok(plan)
+        plan_radius3_families(config, budget, step)
     }
 }
 

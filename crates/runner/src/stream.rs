@@ -1395,7 +1395,8 @@ mod tests {
     }
 
     /// A one-shard plan runs on the calling thread whatever `threads`
-    /// asks for, and the summary, the snapshot and `perf.threads` say so.
+    /// asks for, and the summary, the snapshot and `perf.threads` (of the
+    /// report file and of the in-memory sink) say so.
     #[test]
     fn a_one_shard_plan_reports_the_one_worker_that_ran_it() {
         let path = temp_path("one-shard");
@@ -1413,6 +1414,11 @@ mod tests {
         let perf = report.get("perf").unwrap();
         assert_eq!(perf.get("threads").and_then(Json::as_u64), Some(1));
         cleanup(&path);
+        // The in-memory sink of the same driver records the same worker.
+        let in_memory = crate::executor::execute(&SynthScenario, &config(3, 4, 4)).unwrap();
+        let report = Json::parse(&in_memory.to_json()).unwrap();
+        let perf = report.get("perf").unwrap();
+        assert_eq!(perf.get("threads").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

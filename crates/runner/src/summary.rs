@@ -336,6 +336,7 @@ mod tests {
                 ..SweepConfig::default()
             },
             cells,
+            1,
             Duration::from_millis(1),
             CacheStats::default(),
         );

@@ -8,7 +8,7 @@
 //! * **Protocol** ([`http`], [`client`]): a hand-rolled minimal HTTP/1.1
 //!   server and client over `std::net` — the build container is offline, so
 //!   external HTTP stacks are out, exactly as `vendor/` stands in for
-//!   rand/serde.  One request per connection, `Connection: close`.
+//!   rand.  One request per connection, `Connection: close`.
 //! * **Jobs** ([`job`]): a submission is a JSON body parsed by the in-repo
 //!   `Json` reader into a [`job::JobSpec`] (scenario, priority, a full
 //!   `SweepConfig`).  Typed submission errors map `ConfigError` variants to

@@ -447,9 +447,7 @@ fn run_shards_request(shared: &Shared, body: &[u8], writer: &mut TcpStream) {
     }
     let mut chunks = ChunkedWriter::new(writer);
     for shard in request.first_shard..request.stop_shard {
-        let cells = with_cache_pool(&shared.cache_pool, || {
-            stream::execute_shard(&plan.cells, &config, layout, shard)
-        });
+        let cells = stream::execute_shard(&plan.cells, &config, layout, shard);
         let line = shards::render_line(&cells, request.epoch);
         if chunks.chunk(line.as_bytes()).is_err() {
             // The coordinator hung up (lease expired, or it finished with

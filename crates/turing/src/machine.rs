@@ -2,13 +2,10 @@
 
 use crate::error::TuringError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A tape symbol.  `Symbol(0)` is the blank symbol.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Symbol(pub u8);
 
 impl Symbol {
@@ -23,9 +20,7 @@ impl fmt::Display for Symbol {
 }
 
 /// A control state.  `State(0)` is the start state.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct State(pub u8);
 
 impl State {
@@ -42,7 +37,7 @@ impl fmt::Display for State {
 /// Head movement.  The tape is one-way infinite to the right; a `Left` move
 /// at cell 0 leaves the head in place (the standard convention for one-way
 /// tapes, and the one that keeps execution tables grid-shaped).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Move the head one cell to the left (no-op at the leftmost cell).
     Left,
@@ -54,7 +49,7 @@ pub enum Direction {
 
 /// A single transition rule: in state `q` reading symbol `a`, write `write`,
 /// move `direction`, and enter `next_state`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Transition {
     /// Symbol written over the scanned cell.
     pub write: Symbol,
@@ -75,7 +70,7 @@ pub struct Transition {
 ///
 /// Machines are small value types (`Clone + Eq + Hash`) because the paper's
 /// constructions place the machine description in every node label.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TuringMachine {
     name: String,
     num_states: u8,
@@ -338,7 +333,7 @@ impl TuringMachineBuilder {
 
 /// A machine configuration: tape contents, head position, control state, and
 /// the number of steps taken so far.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Configuration {
     /// Tape contents from cell 0 up to the rightmost visited cell.
     pub tape: Vec<Symbol>,

@@ -5,12 +5,11 @@ use crate::error::TuringError;
 use crate::machine::{RunOutcome, State, Symbol, TuringMachine};
 use crate::window;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One cell of an execution table: the tape symbol at that position, and the
 /// machine head (with its control state) if the head is parked there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Cell {
     /// Tape symbol stored in the cell.
     pub symbol: Symbol,
@@ -58,7 +57,7 @@ impl fmt::Display for Cell {
 /// paper; the *truncated* table ([`ExecutionTable::truncated`]) is the
 /// `rows x cols` prefix of the (possibly infinite) run, which is what the
 /// paper's neighbourhood generator `B` needs for machines that may not halt.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutionTable {
     rows: Vec<Vec<Cell>>,
 }

@@ -127,6 +127,7 @@ fn v3_fixture_is_exactly_what_the_reporter_renders() {
             ..SweepConfig::default()
         },
         cells,
+        1,
         Duration::from_millis(1),
         CacheStats::default(),
     );

@@ -311,6 +311,7 @@ fn section2_sweep_xl_matches_the_pinned_digest() {
         let path = temp_path(&format!("section2-xl-digest-t{threads}"));
         let summary = stream::run(scenario.as_ref(), &config, &path, &DETERMINISTIC).unwrap();
         assert!(summary.completed);
+        assert_eq!(summary.failed, 0, "failed cells at {threads} threads");
         let streamed = std::fs::read(&path).unwrap();
         cleanup(&path);
         assert_eq!(streamed.len(), 112_580, "report size at {threads} threads");
