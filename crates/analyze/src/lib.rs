@@ -11,7 +11,7 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | D001 | no bare `std::collections::HashMap`/`HashSet` in library code |
-//! | D002 | no `std::time::Instant`/`SystemTime` outside perf/bench modules |
+//! | D002 | no `std::time::Instant`/`SystemTime` in library code without a pragma |
 //! | D003 | every crate root forbids `unsafe_code`, lints `missing_docs`, has `//!` docs |
 //! | D004 | no `.unwrap()`/`.expect()` in runner/local library non-test code |
 //! | D005 | every `pub enum …Error` has a `Display` impl in its file |

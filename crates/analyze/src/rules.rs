@@ -15,7 +15,7 @@ pub enum Rule {
     Pragma,
     /// Bare `std::collections::HashMap`/`HashSet` in library code.
     D001,
-    /// `std::time::Instant`/`SystemTime` outside perf/bench modules.
+    /// `std::time::Instant`/`SystemTime` in first-party library code.
     D002,
     /// Crate root missing `#![forbid(unsafe_code)]`, a `missing_docs`
     /// lint, or crate-level docs.
@@ -56,7 +56,7 @@ impl Rule {
         match self {
             Rule::Pragma => "malformed ld-analyze pragma",
             Rule::D001 => "bare std HashMap/HashSet (iteration order is nondeterministic)",
-            Rule::D002 => "wall-clock types outside perf/bench modules",
+            Rule::D002 => "wall-clock types in library code",
             Rule::D003 => "crate root missing forbid(unsafe_code)/missing_docs/crate docs",
             Rule::D004 => "unwrap/expect in library non-test code",
             Rule::D005 => "public error enum without a Display impl",
@@ -138,7 +138,9 @@ pub fn analyze_source(path: &str, source: &str) -> (Vec<Finding>, Vec<Suppressed
             test_start,
             &mut findings,
             |name| {
-                format!("std::time::{name} outside perf/bench modules; wall-clock reads make runs irreproducible")
+                format!(
+                    "std::time::{name} in library code; wall-clock reads make runs irreproducible"
+                )
             },
         );
     }
@@ -170,7 +172,6 @@ impl Scope {
         // under a crate live outside `src/` and are not report-producing
         // library code.
         let first_party = path.starts_with("crates/") && path.contains("/src/");
-        let perf_module = path.contains("bench") || path.contains("perf");
         // Scenario modules are excluded from D004 by design, not
         // oversight: every scenario cell runs under the executor's
         // panic-isolation contract (`catch_unwind` per cell), so an
@@ -187,7 +188,9 @@ impl Scope {
         let canon_kernel = path == "crates/graph/src/fastcanon.rs";
         Scope {
             d001: first_party,
-            d002: first_party && !perf_module,
+            // No path is exempt: a library module that times itself says
+            // why in a D002 pragma, so the reason is read at the use site.
+            d002: first_party,
             // Every crate root in the workspace, vendored stand-ins
             // included: they are first-party code wearing external names.
             d003: path == "src/lib.rs" || path.ends_with("/src/lib.rs"),
@@ -517,10 +520,19 @@ mod tests {
 
     #[test]
     fn d002_flags_instant_outside_bench_paths() {
+        // No path name exempts a first-party library file: a module called
+        // `perf` or a crate called `bench` is flagged like any other.
         let src = "use std::time::{Duration, Instant};\n";
-        let (findings, _) = run("crates/runner/src/x.rs", src);
-        assert_eq!(rules_of(&findings), [Rule::D002]);
-        let (findings, _) = run("crates/bench/src/x.rs", src);
+        for path in [
+            "crates/runner/src/x.rs",
+            "crates/bench/src/x.rs",
+            "crates/runner/src/perf.rs",
+        ] {
+            let (findings, _) = run(path, src);
+            assert_eq!(rules_of(&findings), [Rule::D002], "{path}");
+        }
+        // Outside first-party library sources the rule does not apply.
+        let (findings, _) = run("perfbench/src/main.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
     }
 

@@ -9,6 +9,10 @@
 //! computes each of these once per structural class and serves every
 //! subsequent occurrence from memory.
 //!
+//! A cache lives as long as the sweep plan that builds it (see
+//! `ld_runner::Plan::share_cache`): nothing is shared across plans, so a
+//! run's memory and hit counters depend on that run alone.
+//!
 //! # Soundness
 //!
 //! Entries are keyed by the **exact view value** in a hash map (`ObliviousView`
@@ -70,17 +74,6 @@ impl CacheStats {
             0.0
         } else {
             self.hits as f64 / total as f64
-        }
-    }
-
-    /// The counter-wise difference `self - earlier` (for per-run deltas;
-    /// `entries` deltas to the number of classes inserted in the window).
-    #[must_use]
-    pub fn since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            entries: self.entries.saturating_sub(earlier.entries),
         }
     }
 
@@ -215,32 +208,14 @@ impl<L: Clone + Eq + Hash + Send + Sync, S: SyncFacade> ViewCache<L, S> {
     /// and shared out of the cache afterwards (hits are allocation-free:
     /// the returned `Arc` hashes and compares as the code itself).
     ///
-    /// The expensive canonicalisation runs *outside* the shard lock, so
-    /// concurrent workers never serialize on it; two workers racing on the
-    /// same fresh class both compute the (identical) code and one insert
-    /// wins.
-    pub fn canonical_code(&self, view: &ObliviousView<L>) -> Arc<CanonicalCode> {
-        if let Some(code) = self.read(view, |e| e.code.clone()) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return code;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let code = Arc::new(view.canonical_code());
-        let stored = code.clone();
-        self.store(view, move |entry| {
-            entry.code.get_or_insert(stored);
-        });
-        code
-    }
-
-    /// [`ViewCache::canonical_code`] with misses computed on a caller-held
-    /// bitset-kernel scratch ([`CanonScratch`]): the enumeration loops
-    /// thread one scratch through every view of a cell, so a cold cell
-    /// canonicalises with zero per-view scratch allocation.  The lock
-    /// structure is identical to the unbatched path — canonicalisation
-    /// still runs *outside* the shard lock, no new lock scope — and the
-    /// kernel's output is byte-identical to the oracle's, so entries
-    /// written by either path serve hits to both.
+    /// Misses are computed on a caller-held bitset-kernel scratch
+    /// ([`CanonScratch`]): the enumeration loops thread one scratch through
+    /// every view of a cell, so a cold cell canonicalises with zero
+    /// per-view scratch allocation.  The kernel's output is byte-identical
+    /// to the oracle's.  The canonicalisation runs *outside* the shard
+    /// lock, so concurrent workers never serialize on it; two workers
+    /// racing on the same fresh class both compute the (identical) code and
+    /// one insert wins.
     pub fn canonical_code_in(
         &self,
         view: &ObliviousView<L>,
@@ -306,81 +281,6 @@ impl<L: Clone + Eq + Hash + Send + Sync, S: SyncFacade> ViewCache<L, S> {
         });
         verdict
     }
-
-    /// Drops every entry and resets the counters.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.entries.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A process-wide pool of [`ViewCache`]s, one per label type.
-///
-/// A long-running service multiplexes many sweep jobs over one process;
-/// without a pool every job's plan builds fresh caches and re-derives the
-/// same canonical codes.  The pool hands out one shared
-/// `Arc<ViewCache<L>>` per label type `L`, so concurrent and subsequent
-/// jobs warm each other's lookups.  Sharing is sound because entries are
-/// keyed by the exact view value (see the module docs): a pooled cache can
-/// only change timings and hit counters, never report bytes.
-pub struct CachePool {
-    slots: std::sync::Mutex<FxHashMap<std::any::TypeId, Arc<dyn std::any::Any + Send + Sync>>>,
-}
-
-impl CachePool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        CachePool {
-            slots: std::sync::Mutex::new(FxHashMap::default()),
-        }
-    }
-
-    /// The shared cache for label type `L`, created on first request.
-    ///
-    /// Every call with the same `L` returns a clone of the same `Arc`, so
-    /// all plans drawing from one pool converge on one cache per label
-    /// family.
-    pub fn view_cache<L: Send + Sync + 'static>(&self) -> Arc<ViewCache<L>> {
-        let mut slots = self
-            .slots
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let slot = slots.entry(std::any::TypeId::of::<L>()).or_insert_with(|| {
-            Arc::new(ViewCache::<L>::new()) as Arc<dyn std::any::Any + Send + Sync>
-        });
-        if let Ok(cache) = Arc::clone(slot).downcast::<ViewCache<L>>() {
-            return cache;
-        }
-        // Impossible — the slot for `TypeId::of::<L>()` always holds a
-        // `ViewCache<L>` — but recover by installing a fresh cache rather
-        // than panicking inside a service worker.
-        let fresh = Arc::new(ViewCache::<L>::new());
-        *slot = fresh.clone();
-        fresh
-    }
-
-    /// Number of label families the pool currently holds caches for.
-    pub fn len(&self) -> usize {
-        self.slots
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-    }
-
-    /// Whether the pool has handed out no caches yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for CachePool {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 #[cfg(test)]
@@ -397,9 +297,13 @@ mod tests {
     #[test]
     fn canonical_code_matches_uncached_and_hits_on_repeats() {
         let cache = ViewCache::new();
+        let mut scratch = CanonScratch::new();
         let views = cycle_views(16, 2);
         for view in &views {
-            assert_eq!(*cache.canonical_code(view), view.canonical_code());
+            assert_eq!(
+                *cache.canonical_code_in(view, &mut scratch),
+                view.canonical_code()
+            );
         }
         let stats = cache.stats();
         // The 16 interior views of a cycle fall into at most two ball-local
@@ -435,10 +339,14 @@ mod tests {
     #[test]
     fn distinct_structures_do_not_collide() {
         let cache = ViewCache::new();
+        let mut scratch = CanonScratch::new();
         let path = LabeledGraph::uniform(generators::path(9), 0u8);
         let views = crate::enumeration::collect_oblivious_views(&path, 2);
         for view in &views {
-            assert_eq!(*cache.canonical_code(view), view.canonical_code());
+            assert_eq!(
+                *cache.canonical_code_in(view, &mut scratch),
+                view.canonical_code()
+            );
         }
         // End, next-to-end and interior views are distinct isomorphism
         // classes; mirror-image layouts may double a class structurally, but
@@ -449,38 +357,36 @@ mod tests {
 
     #[test]
     fn batched_scratch_path_is_byte_identical_to_the_unbatched_path() {
-        // Warm one cache through the batched (scratch) path and one through
-        // the unbatched path: every served code must be byte-identical, and
-        // hits written by either path must serve the other.
+        // The cache computes misses on a caller-held kernel scratch; every
+        // code it serves, cold or warm, must be byte-identical to the
+        // unbatched `ObliviousView::canonical_code`.
         let mut scratch = CanonScratch::new();
-        let batch_warmed = ViewCache::new();
-        let plain_warmed = ViewCache::new();
+        let cache = ViewCache::new();
         let mut views = cycle_views(16, 2);
         views.extend(crate::enumeration::collect_oblivious_views(
             &LabeledGraph::uniform(generators::grid(5, 4), 0u8),
             2,
         ));
         for view in &views {
-            let batched = batch_warmed.canonical_code_in(view, &mut scratch);
-            let unbatched = plain_warmed.canonical_code(view);
-            assert_eq!(batched.as_slice(), unbatched.as_slice());
+            let batched = cache.canonical_code_in(view, &mut scratch);
             assert_eq!(batched.as_slice(), view.canonical_code().as_slice());
         }
-        assert_eq!(batch_warmed.stats(), plain_warmed.stats());
-        // Cross-path hits: the batch-warmed cache answers unbatched lookups
-        // (and vice versa) without computing anything new.
-        let before = batch_warmed.stats();
+        // A second pass is served entirely from the entries the first
+        // published, with the same bytes.
+        let cold = cache.stats();
         for view in &views {
             assert_eq!(
-                batch_warmed.canonical_code(view).as_slice(),
-                plain_warmed
-                    .canonical_code_in(view, &mut scratch)
-                    .as_slice()
+                cache.canonical_code_in(view, &mut scratch).as_slice(),
+                view.canonical_code().as_slice()
             );
         }
-        let delta = batch_warmed.stats().since(&before);
-        assert_eq!(delta.misses, 0, "batch-warmed entries must serve hits");
-        assert_eq!(delta.entries, 0);
+        let warm = cache.stats();
+        assert_eq!(
+            warm.misses, cold.misses,
+            "published entries must serve hits"
+        );
+        assert_eq!(warm.entries, cold.entries);
+        assert_eq!(warm.hits, cold.hits + views.len() as u64);
     }
 
     #[test]
@@ -512,24 +418,14 @@ mod tests {
         let b = LabeledGraph::uniform(g, 1u8);
         let va = crate::enumeration::collect_oblivious_views(&a, 1);
         let vb = crate::enumeration::collect_oblivious_views(&b, 1);
-        cache.canonical_code(&va[0]);
-        cache.canonical_code(&vb[0]);
+        let mut scratch = CanonScratch::new();
+        cache.canonical_code_in(&va[0], &mut scratch);
+        cache.canonical_code_in(&vb[0], &mut scratch);
         assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]
-    fn clear_resets_everything() {
-        let cache = ViewCache::new();
-        let views = cycle_views(6, 1);
-        cache.canonical_code(&views[0]);
-        cache.clear();
-        assert_eq!(cache.stats(), CacheStats::default());
-        cache.canonical_code(&views[0]);
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn stats_delta_and_merge() {
+    fn stats_merge_and_hit_rate() {
         let a = CacheStats {
             hits: 10,
             misses: 2,
@@ -540,13 +436,11 @@ mod tests {
             misses: 1,
             entries: 2,
         };
-        let d = a.since(&b);
-        assert_eq!(d.hits, 6);
-        assert_eq!(d.misses, 1);
-        assert_eq!(d.entries, 0);
         let m = a.merged(&b);
         assert_eq!(m.hits, 14);
+        assert_eq!(m.misses, 3);
         assert_eq!(m.entries, 4);
+        assert_eq!(b.hit_rate(), 0.8);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 
@@ -564,7 +458,10 @@ mod tests {
             cache.verdict("fine", &views[0], |_| Verdict::Yes),
             Verdict::Yes
         );
-        assert_eq!(*cache.canonical_code(&views[0]), views[0].canonical_code());
+        assert_eq!(
+            *cache.canonical_code_in(&views[0], &mut CanonScratch::new()),
+            views[0].canonical_code()
+        );
         // And the exploding algorithm memoized nothing.
         assert_eq!(
             cache.verdict("exploder", &views[0], |_| Verdict::No),
@@ -607,9 +504,10 @@ mod tests {
             .map(|order| {
                 let cache = &cache;
                 move || {
+                    let mut scratch = CanonScratch::new();
                     for (view, expected) in order {
                         assert_eq!(
-                            *cache.canonical_code(view),
+                            *cache.canonical_code_in(view, &mut scratch),
                             *expected,
                             "racing lookup observed a wrong canonical code"
                         );
@@ -634,50 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_hands_out_one_cache_per_label_type() {
-        let pool = CachePool::new();
-        assert!(pool.is_empty());
-        let a = pool.view_cache::<u8>();
-        let b = pool.view_cache::<u8>();
-        assert!(Arc::ptr_eq(&a, &b), "same label type must share one cache");
-        let c = pool.view_cache::<u16>();
-        assert_eq!(pool.len(), 2);
-        // Distinct label families get independent caches (and counters).
-        let views = cycle_views(8, 1);
-        a.canonical_code(&views[0]);
-        assert_eq!(
-            b.stats().misses,
-            1,
-            "warmth is visible through every handle"
-        );
-        assert_eq!(c.stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn pooled_cache_stays_warm_across_jobs() {
-        let pool = CachePool::new();
-        let views = cycle_views(16, 2);
-        // "Job 1" draws a cache from the pool and populates it.
-        for view in &views {
-            pool.view_cache::<u8>().canonical_code(view);
-        }
-        let after_first = pool.view_cache::<u8>().stats();
-        // "Job 2" re-requests the cache; every lookup is now a hit and no
-        // new classes are published.
-        for view in &views {
-            assert_eq!(
-                *pool.view_cache::<u8>().canonical_code(view),
-                view.canonical_code()
-            );
-        }
-        let after_second = pool.view_cache::<u8>().stats();
-        let delta = after_second.since(&after_first);
-        assert_eq!(delta.misses, 0, "second job must run fully warm");
-        assert_eq!(delta.hits, 16);
-        assert_eq!(delta.entries, 0);
-    }
-
-    #[test]
     fn cache_is_shareable_across_threads() {
         let cache = ViewCache::new();
         let views = cycle_views(32, 2);
@@ -685,8 +539,12 @@ mod tests {
             let cache = &cache;
             for chunk in views.chunks(8) {
                 scope.spawn(move || {
+                    let mut scratch = CanonScratch::new();
                     for view in chunk {
-                        assert_eq!(*cache.canonical_code(view), view.canonical_code());
+                        assert_eq!(
+                            *cache.canonical_code_in(view, &mut scratch),
+                            view.canonical_code()
+                        );
                     }
                 });
             }

@@ -10,8 +10,9 @@
 //! built per node.  Nodes are visited in node order, so a randomised
 //! algorithm draws from its stream in that order.  Views stay owned in two
 //! places, both of which need values: [`run_oblivious_cached`], whose memo
-//! is keyed by the exact view, and view enumeration
-//! ([`crate::enumeration`]), whose results outlive the extractor.
+//! is keyed by the exact view (no sweep calls it any more), and view
+//! enumeration ([`crate::enumeration`]), whose results outlive the
+//! extractor.
 
 use crate::algorithm::{LocalAlgorithm, ObliviousAlgorithm, RandomizedObliviousAlgorithm, Verdict};
 use crate::cache::ViewCache;
@@ -115,11 +116,13 @@ pub fn run_oblivious<L, A: ObliviousAlgorithm<L> + ?Sized>(
 /// uniquely determines its behaviour over the cache's lifetime: cache
 /// entries are verified by exact view equality before reuse, but the
 /// verdict memo is keyed per algorithm *name* (see [`ViewCache::verdict`]).
-/// The payoff is in sweeps, where thousands of inputs of the same family
-/// expose the same handful of view classes over and over, and only when
-/// the algorithm costs more than a lookup: on `G(M, r)` with cheap
-/// candidates the lookup costs about 5× the verdict it saves (measured
-/// on [`ViewCache::verdict`]), so `section3-sweep` calls [`run_oblivious`].
+/// The memo pays only when the algorithm costs more than a lookup, which
+/// hashes and compares the whole owned view.  No shipped decider does: on
+/// `G(M, r)` with cheap candidates the lookup costs about 5× the verdict
+/// it saves (measured on [`ViewCache::verdict`]), and the Section 2
+/// structure verifier reads only the centre's neighbourhood.  So every
+/// sweep calls [`run_oblivious`], and this function has no production
+/// caller; the benchmark's `gmr` replay probe still times it.
 ///
 /// This is the one decision loop that builds an owned
 /// [`ObliviousView`](crate::ObliviousView) per node: the memo is keyed by

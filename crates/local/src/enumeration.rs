@@ -60,8 +60,7 @@
 
 use crate::cache::ViewCache;
 use crate::hashing::{FxBuildHasher, FxHashMap, FxHashSet};
-use crate::input::Input;
-use crate::view::{ObliviousView, View};
+use crate::view::ObliviousView;
 use ld_graph::canon::CanonicalCode;
 use ld_graph::{BallExtractor, CanonScratch, Graph, LabeledGraph, NodeId};
 use std::hash::{BuildHasher, Hash};
@@ -180,16 +179,6 @@ impl BudgetUsage {
     }
 }
 
-/// Collects the radius-`radius` view (with identifiers) of every node.
-pub fn collect_views<L: Clone>(input: &Input<L>, radius: usize) -> Vec<View<L>> {
-    let mut extractor = BallExtractor::new();
-    input
-        .graph()
-        .nodes()
-        .map(|v| input.view_in(&mut extractor, v, radius).to_owned())
-        .collect()
-}
-
 /// Collects the Id-oblivious radius-`radius` view of every node of a
 /// labelled graph (identifiers are irrelevant, so none are needed).
 pub fn collect_oblivious_views<L: Clone>(
@@ -251,9 +240,7 @@ pub fn distinct_oblivious_views_of<L: Clone + Eq + Hash>(
     labeled: &LabeledGraph<L>,
     radius: usize,
 ) -> Vec<ObliviousView<L>> {
-    distinct_of_impl(labeled, radius, |view, scratch| {
-        Arc::new(view.canonical_code_in(scratch))
-    })
+    distinct_oblivious_views_of_budgeted(labeled, radius, EnumerationBudget::UNLIMITED).0
 }
 
 /// The 64-bit Fx hash of every node's label, indexed by node: the
@@ -286,17 +273,6 @@ fn shift_runs(graph: &Graph, words: &[u64]) -> Vec<usize> {
         }
     }
     runs
-}
-
-/// Shared body of the `distinct_oblivious_views_of*` fast paths: in-place
-/// exact-layout dedup, then canonical-code dedup with a caller-chosen code
-/// source (direct computation or a shared cache).
-fn distinct_of_impl<L: Clone + Eq + Hash>(
-    labeled: &LabeledGraph<L>,
-    radius: usize,
-    code_of: impl FnMut(&ObliviousView<L>, &mut CanonScratch) -> Arc<CanonicalCode>,
-) -> Vec<ObliviousView<L>> {
-    distinct_of_budgeted_impl(labeled, radius, EnumerationBudget::UNLIMITED, code_of).0
 }
 
 /// Budgeted body shared by every `distinct_oblivious_views_of*` variant.
@@ -488,39 +464,6 @@ pub fn distinct_views_by_radius_cached<L: Clone + Eq + Hash + Send + Sync>(
     (results, usage)
 }
 
-/// [`distinct_oblivious_views`], with canonical codes served from a shared
-/// [`ViewCache`].  The result is identical; repeated canonicalisation of
-/// structurally identical views across a sweep is computed once.
-pub fn distinct_oblivious_views_cached<L: Clone + Eq + Hash + Send + Sync>(
-    views: Vec<ObliviousView<L>>,
-    cache: &ViewCache<L>,
-) -> Vec<ObliviousView<L>> {
-    let mut scratch = CanonScratch::new();
-    let mut codes: FxHashSet<Arc<CanonicalCode>> = FxHashSet::default();
-    let mut result = Vec::new();
-    for view in views {
-        if codes.insert(cache.canonical_code_in(&view, &mut scratch)) {
-            result.push(view);
-        }
-    }
-    result
-}
-
-/// [`distinct_oblivious_views_of`], routed through a shared [`ViewCache`]:
-/// the same in-place `exact_key` prepass skips ball construction for
-/// repeated layouts within the graph, and each unique layout's canonical
-/// code is served from (or inserted into) the cache, so repeated instances
-/// across a sweep canonicalise nothing at all.
-pub fn distinct_oblivious_views_of_cached<L: Clone + Eq + Hash + Send + Sync>(
-    labeled: &LabeledGraph<L>,
-    radius: usize,
-    cache: &ViewCache<L>,
-) -> Vec<ObliviousView<L>> {
-    distinct_of_impl(labeled, radius, |view, scratch| {
-        cache.canonical_code_in(view, scratch)
-    })
-}
-
 /// The seed deduplication pipeline — Weisfeiler–Leman bucketing followed by
 /// pairwise backtracking isomorphism — retained verbatim as the
 /// differential-test oracle for the canonical-code engine.
@@ -541,25 +484,6 @@ pub fn distinct_oblivious_views_pairwise<L: Clone + Eq + Hash>(
         }
     }
     result
-}
-
-/// Returns `true` if `view` is indistinguishable from some view in `family`.
-///
-/// Candidates that differ in radius, node count or edge count are rejected
-/// without canonicalising them; checking many targets against one family is
-/// cheaper through [`coverage`], which computes each family code once.
-pub fn view_occurs_in<L: Clone + Eq + Hash>(
-    view: &ObliviousView<L>,
-    family: &[ObliviousView<L>],
-) -> bool {
-    let mut scratch = CanonScratch::new();
-    let code = view.canonical_code_in(&mut scratch);
-    family.iter().any(|candidate| {
-        candidate.radius() == view.radius()
-            && candidate.node_count() == view.node_count()
-            && candidate.graph().edge_count() == view.graph().edge_count()
-            && candidate.canonical_code_in(&mut scratch) == code
-    })
 }
 
 /// The coverage of `targets` by `family`: the fraction of views in `targets`
@@ -618,6 +542,7 @@ pub fn coverage_cached<L: Clone + Eq + Hash + Send + Sync>(
 mod tests {
     use super::*;
     use crate::ids::IdAssignment;
+    use crate::input::Input;
     use ld_graph::generators;
 
     fn uniform_cycle(n: usize) -> LabeledGraph<u8> {
@@ -692,7 +617,12 @@ mod tests {
     fn collect_views_with_ids_returns_one_view_per_node() {
         let lg = uniform_cycle(8);
         let input = Input::new(lg, IdAssignment::consecutive(8)).unwrap();
-        let views = collect_views(&input, 1);
+        let mut extractor = BallExtractor::new();
+        let views: Vec<_> = input
+            .graph()
+            .nodes()
+            .map(|v| input.view_in(&mut extractor, v, 1).to_owned())
+            .collect();
         assert_eq!(views.len(), 8);
         // With distinct identifiers every view is distinguishable from every
         // other (different centre ids).
@@ -845,7 +775,6 @@ mod tests {
     fn coverage_of_empty_target_set_is_total() {
         let family = distinct_oblivious_views_of(&uniform_cycle(6), 1);
         assert_eq!(coverage::<u8>(&[], &family), 1.0);
-        assert!(!view_occurs_in(&family[0], &[]));
         let cache = ViewCache::new();
         assert_eq!(coverage_cached::<u8>(&[], &family, &cache), 1.0);
     }
@@ -860,8 +789,14 @@ mod tests {
         ] {
             for radius in 0..3 {
                 let plain = distinct_oblivious_views_of(&labeled, radius);
-                let cached = distinct_oblivious_views_of_cached(&labeled, radius, &cache);
+                let (cached, usage) = distinct_oblivious_views_of_budgeted_cached(
+                    &labeled,
+                    radius,
+                    &cache,
+                    EnumerationBudget::UNLIMITED,
+                );
                 assert_eq!(plain, cached);
+                assert!(!usage.exhausted);
             }
         }
         assert!(cache.stats().hits > 0, "repeat views must hit the cache");

@@ -36,7 +36,7 @@
 //! view semantics ([`engine`]), randomised `(p, q)`-deciders
 //! ([`RandomizedObliviousAlgorithm`], [`decision::estimate_pq`]), and a
 //! shared lock-sharded canonical-view cache that de-duplicates the repeated
-//! ball canonicalisation parameter sweeps perform ([`cache`]).  View
+//! ball canonicalisation within one sweep plan ([`cache`]).  View
 //! comparison is driven by total canonical codes
 //! ([`ObliviousView::canonical_code`], backed by `ld_graph::canon`): equal
 //! code ⇔ indistinguishable view, so enumeration and coverage are hash-set
@@ -85,7 +85,7 @@ pub use algorithm::{
     FnLocal, FnOblivious, LocalAlgorithm, ObliviousAlgorithm, ObliviousAsLocal,
     OrderInvariantAlgorithm, OrderInvariantAsLocal, RandomizedObliviousAlgorithm, Verdict,
 };
-pub use cache::{CachePool, CacheStats, ViewCache};
+pub use cache::{CacheStats, ViewCache};
 pub use decision::{Decision, DecisionOutcome};
 pub use enumeration::{BudgetUsage, EnumerationBudget};
 pub use error::LocalError;

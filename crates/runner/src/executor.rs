@@ -53,7 +53,6 @@ pub fn execute(scenario: &dyn Scenario, config: &SweepConfig) -> Result<RunRepor
     config.validate().map_err(|e| e.to_string())?;
     let plan = scenario.plan(config)?;
     let layout = ShardLayout::new(plan.cells.len(), config.shard_size);
-    let stats_before = plan.cache_stats();
     let started = Instant::now();
     let mut cells = Vec::with_capacity(plan.cells.len());
     let workers = stream::run_shards(
@@ -68,14 +67,13 @@ pub fn execute(scenario: &dyn Scenario, config: &SweepConfig) -> Result<RunRepor
         },
     )?;
     let total_wall = started.elapsed();
-    let cache = plan.cache_stats().since(&stats_before);
     Ok(RunReport::new(
         scenario.name(),
         config.clone(),
         cells,
         workers,
         total_wall,
-        cache,
+        plan.cache_stats(),
     ))
 }
 
@@ -223,5 +221,22 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.cells.len(), 3);
+    }
+
+    #[test]
+    fn a_second_run_in_one_process_reports_the_same_cache_counters() {
+        // Each run's plan builds its own caches, so an earlier run of the
+        // same sweep leaves nothing warm: the second run does (and reports)
+        // exactly the first run's cache work.  One thread, so the hit/miss
+        // split does not depend on which worker reaches a class first.
+        let config = SweepConfig {
+            max_n: 24,
+            ..SweepConfig::default()
+        };
+        let first = execute(&crate::scenarios::Section2Sweep, &config).unwrap();
+        let second = execute(&crate::scenarios::Section2Sweep, &config).unwrap();
+        assert!(first.cache.misses > 0, "the sweep uses its caches");
+        assert_eq!(first.cache, second.cache);
+        assert_eq!(first.deterministic_json(), second.deterministic_json());
     }
 }

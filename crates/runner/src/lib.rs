@@ -26,10 +26,12 @@
 //!   (`section2-sweep-xl` at 512+ nodes, `randomized-sweep-xl`) ride on
 //!   the streaming headroom, with scenario-default budgets
 //!   (`EnumerationBudget::scaled`) capping every cell.
-//! * **Shared canonical-view caches** (`ld_local::cache`, one per label
-//!   type per plan, threaded through the view enumerations and the
-//!   Section 2 verifier's decisions) — the hot path of every indistinguishability harness,
-//!   computed once per structural class per sweep.
+//! * **Per-plan canonical-view caches** (`ld_local::cache`, one per label
+//!   type per plan, threaded through the view enumerations) — the hot path
+//!   of every indistinguishability harness, computed once per structural
+//!   class per sweep.  A cache is born with its plan and dropped with it;
+//!   there is no process-wide cache, so a daemon's memory and a run's hit
+//!   counters never depend on earlier runs.
 //! * **Work budgets** — the Section 2 scenarios run their view-enumerating
 //!   cells under the sweep's [`SweepConfig::enumeration_budget`] (node/view
 //!   caps); exhaustion is a deterministic, explicitly reported *outcome*
@@ -84,7 +86,7 @@ pub mod summary;
 pub use cell::{CellOutcome, CellResult, CellSpec};
 pub use dsl::{DslError, ScenarioDoc};
 pub use report::RunReport;
-pub use scenario::{with_cache_pool, ConfigError, Plan, PlannedCell, Scenario, SweepConfig};
+pub use scenario::{ConfigError, Plan, PlannedCell, Scenario, SweepConfig};
 pub use spool_io::{FaultIo, RealIo, SpoolFile, SpoolIo};
 pub use stream::{StreamOptions, StreamSummary};
 pub use summary::{CellSummary, ReportSummary};

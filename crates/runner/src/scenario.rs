@@ -1,50 +1,18 @@
 //! Scenario specs: declarative descriptions of whole experiment sweeps.
 //!
 //! A [`Scenario`] turns a [`SweepConfig`] into a [`Plan`]: a list of cells,
-//! each paired with a closure that executes it, plus handles to the shared
-//! canonical-view caches the cells consult.  The executor (see
-//! [`crate::executor`]) is scenario-agnostic; all domain knowledge lives in
-//! the plans.
+//! each paired with a closure that executes it, plus handles to the
+//! canonical-view caches the cells share.  Every cache is born with its
+//! plan and dropped with it; no cache outlives a sweep or is shared between
+//! two plans, whether the plan runs under `ldx run`, a daemon job or a
+//! `POST /shards` lease.  The executor (see [`crate::executor`]) is
+//! scenario-agnostic; all domain knowledge lives in the plans.
 
 use crate::cell::{CellOutcome, CellSpec};
-use ld_local::cache::{CachePool, CacheStats, ViewCache};
+use ld_local::cache::{CacheStats, ViewCache};
 use ld_local::enumeration::EnumerationBudget;
-use std::cell::RefCell;
 use std::hash::Hash;
 use std::sync::Arc;
-
-thread_local! {
-    /// The cache pool consulted by [`Plan::share_cache`] on this thread
-    /// (installed by [`with_cache_pool`], absent by default).
-    static CACHE_POOL: RefCell<Option<Arc<CachePool>>> = const { RefCell::new(None) };
-}
-
-/// Restores the previously installed pool when [`with_cache_pool`] exits,
-/// including by panic — a poisoned job must not leak its pool into
-/// unrelated plans built later on the same worker thread.
-struct PoolGuard(Option<Arc<CachePool>>);
-
-impl Drop for PoolGuard {
-    fn drop(&mut self) {
-        CACHE_POOL.with(|slot| *slot.borrow_mut() = self.0.take());
-    }
-}
-
-/// Runs `f` with `pool` installed as the canonical-view cache source for
-/// every [`Plan::share_cache`] call on this thread.
-///
-/// One-shot CLI sweeps never call this: each plan builds private caches,
-/// exactly as before.  A long-running service wraps each job's planning and
-/// execution in it so concurrent and subsequent jobs share one warmed cache
-/// per label family.  Sharing never changes report bytes (pool caches are
-/// exact-keyed — see `ld_local::cache`); it *does* mean a plan's merged
-/// [`CacheStats`] include activity from every job drawing on the pool, so
-/// per-run hit-rate deltas become pool-wide figures.
-pub fn with_cache_pool<R>(pool: &Arc<CachePool>, f: impl FnOnce() -> R) -> R {
-    let previous = CACHE_POOL.with(|slot| slot.borrow_mut().replace(Arc::clone(pool)));
-    let _guard = PoolGuard(previous);
-    f()
-}
 
 /// The largest view radius any sweep may request.  Radius-4 balls of the
 /// swept families are already large enough that enumeration cost is
@@ -267,21 +235,16 @@ impl Plan {
         }
     }
 
-    /// Registers a shared cache for stats reporting and returns it for cell
-    /// closures to capture.
+    /// Creates an empty cache for this plan's cells to share, registers it
+    /// for stats reporting and returns it for cell closures to capture.
     ///
-    /// When a [`with_cache_pool`] scope is active on the calling thread the
-    /// cache is drawn from the pool (one shared instance per label family,
-    /// warm across jobs); otherwise the plan gets a private, empty cache.
+    /// Every call builds a fresh cache: the plan's cells share it, and it
+    /// is dropped with the plan and the last cell closure that captured it.
     pub fn share_cache<L>(&mut self) -> Arc<ViewCache<L>>
     where
         L: Clone + Eq + Hash + Send + Sync + 'static,
     {
-        let cache = CACHE_POOL.with(|slot| {
-            slot.borrow()
-                .as_ref()
-                .map_or_else(|| Arc::new(ViewCache::new()), |pool| pool.view_cache::<L>())
-        });
+        let cache = Arc::new(ViewCache::new());
         self.caches.push(cache.clone());
         cache
     }
@@ -418,48 +381,28 @@ mod tests {
     }
 
     #[test]
-    fn share_cache_draws_from_an_installed_pool() {
-        use ld_local::cache::CachePool;
+    fn two_plans_never_share_a_cache() {
+        use ld_graph::{generators, LabeledGraph};
+        use ld_local::enumeration::distinct_oblivious_views_of_budgeted_cached;
 
-        // Without a pool: two plans get independent caches.
         let mut plan_a = Plan::new();
         let mut plan_b = Plan::new();
         let a = plan_a.share_cache::<u8>();
         let b = plan_b.share_cache::<u8>();
-        assert!(!Arc::ptr_eq(&a, &b), "private caches must not be shared");
-
-        // With a pool: every plan built in the scope shares one cache per
-        // label family, and the scope restores cleanly.
-        let pool = Arc::new(CachePool::new());
-        let (a, b) = super::with_cache_pool(&pool, || {
-            let mut plan_a = Plan::new();
-            let mut plan_b = Plan::new();
-            (plan_a.share_cache::<u8>(), plan_b.share_cache::<u8>())
-        });
-        assert!(Arc::ptr_eq(&a, &b), "pooled caches must be shared");
-        assert!(Arc::ptr_eq(&a, &pool.view_cache::<u8>()));
-        let outside = Plan::new().share_cache::<u8>();
-        assert!(
-            !Arc::ptr_eq(&outside, &a),
-            "the pool must not leak past its scope"
-        );
-
-        // Nested scopes restore the *outer* pool, not an empty slot.
-        let outer = Arc::new(CachePool::new());
-        let inner = Arc::new(CachePool::new());
-        super::with_cache_pool(&outer, || {
-            super::with_cache_pool(&inner, || {
-                let cache = Plan::new().share_cache::<u8>();
-                assert!(Arc::ptr_eq(&cache, &inner.view_cache::<u8>()));
-            });
-            let cache = Plan::new().share_cache::<u8>();
-            assert!(Arc::ptr_eq(&cache, &outer.view_cache::<u8>()));
-        });
+        assert!(!Arc::ptr_eq(&a, &b), "each plan builds its own cache");
+        // Warming one plan's cache leaves the other cold.
+        let cycle = LabeledGraph::uniform(generators::cycle(12), 0u8);
+        distinct_oblivious_views_of_budgeted_cached(&cycle, 2, &a, EnumerationBudget::UNLIMITED);
+        assert!(plan_a.cache_stats().misses > 0);
+        assert_eq!(plan_b.cache_stats(), CacheStats::default());
+        // A second cache of the same label type in one plan is fresh too.
+        let c = plan_a.share_cache::<u8>();
+        assert!(!Arc::ptr_eq(&a, &c));
+        assert_eq!(c.stats(), CacheStats::default());
     }
 
     #[test]
     fn budget_and_radius_helpers() {
-        use ld_local::enumeration::EnumerationBudget;
         let config = SweepConfig::default();
         assert_eq!(config.radius_or(3), 3);
         assert_eq!(config.enumeration_budget(), EnumerationBudget::UNLIMITED);

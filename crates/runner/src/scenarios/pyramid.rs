@@ -9,7 +9,7 @@ use crate::cell::{CellOutcome, CellSpec};
 use crate::scenario::{Plan, Scenario, SweepConfig};
 use ld_constructions::pyramid::{Pyramid, PyramidLabel};
 use ld_local::cache::ViewCache;
-use ld_local::enumeration::distinct_oblivious_views_of_cached;
+use ld_local::enumeration::{distinct_oblivious_views_of_budgeted_cached, EnumerationBudget};
 use std::sync::Arc;
 
 /// The pyramid sweep scenario.
@@ -48,7 +48,12 @@ fn views_cell(plan: &mut Plan, cache: &Arc<ViewCache<PyramidLabel>>, h: u32, rad
     let cache = cache.clone();
     plan.push(spec, move |_seed| {
         let pyramid = Pyramid::new(h).expect("swept heights construct");
-        let views = distinct_oblivious_views_of_cached(pyramid.labeled(), radius, &cache);
+        let (views, _) = distinct_oblivious_views_of_budgeted_cached(
+            pyramid.labeled(),
+            radius,
+            &cache,
+            EnumerationBudget::UNLIMITED,
+        );
         CellOutcome::new("enumerated", !views.is_empty())
             .with_metric("distinct_views", views.len() as f64)
             .with_metric("nodes", pyramid.labeled().node_count() as f64)

@@ -3,10 +3,14 @@
 //! Cells cover the layered-tree family `H_r` / `T_r` (every sampled small
 //! instance × identifier regime × algorithm), the large instance and the
 //! Figure 1 view-coverage measurement when `max_n` affords them, and the
-//! promise problem on cycles across a size range.  Oblivious verdicts and
-//! view enumeration run through shared canonical-view caches — the small
-//! instances are all isomorphic to each other, so virtually every ball the
-//! sweep canonicalises after the first instance is a cache hit.
+//! promise problem on cycles across a size range.  View enumeration runs
+//! through the plan's canonical-view caches — the small instances are all
+//! isomorphic to each other, so virtually every ball the sweep
+//! canonicalises after the first instance is a cache hit.  Verdicts are
+//! computed directly: the structure verifier reads only the centre's
+//! neighbourhood, and a verdict memo keyed on the whole owned view
+//! measured no faster than evaluating it (see "Cache sharding" in
+//! `crates/runner/DESIGN.md`).
 
 use crate::cell::{CellOutcome, CellSpec};
 use crate::scenario::{Plan, Scenario, SweepConfig};
@@ -88,12 +92,9 @@ fn tree_cell(
         let input = Input::new(labeled, ids_for(regime, n, seed))
             .expect("section 2 instances are connected with distinct ids");
         let accepted = match algorithm {
-            "verifier" => decision::run_oblivious_cached(
-                &input,
-                &StructureVerifier::new(params.clone()),
-                &cache,
-            )
-            .accepted(),
+            "verifier" => {
+                decision::run_oblivious(&input, &StructureVerifier::new(params.clone())).accepted()
+            }
             "id-decider" => {
                 decision::run_local(&input, &IdBasedDecider::new(params.clone())).accepted()
             }

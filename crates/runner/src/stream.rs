@@ -820,8 +820,8 @@ impl<'io> ReportSink<'io> {
     }
 
     /// Appends shard [`ReportSink::next_shard`] to the report, flushes it,
-    /// and records it in the checkpoint.  `cache` is this process's cache
-    /// counters so far (zero when the shard ran elsewhere).
+    /// and records it in the checkpoint.  `cache` is the counters of this
+    /// run's plan so far (zero when the shard ran elsewhere).
     ///
     /// # Errors
     ///
@@ -1090,7 +1090,6 @@ fn drive(
     let first_shard = sink.next_shard();
     let shard_count = sink.totals.shard_count;
     let stop_shard = max_shards.map_or(shard_count, |m| (first_shard + m).min(shard_count));
-    let cache_before = plan.cache_stats();
     let workers = run_shards(
         &plan.cells,
         config,
@@ -1098,10 +1097,7 @@ fn drive(
         first_shard,
         stop_shard,
         &mut |shard, results: Vec<CellResult>| {
-            sink.append(
-                &ShardCells::tally(shard, &results),
-                plan.cache_stats().since(&cache_before),
-            )?;
+            sink.append(&ShardCells::tally(shard, &results), plan.cache_stats())?;
             if let Some(csv_file) = csv.as_mut() {
                 let rows: String = results
                     .iter()

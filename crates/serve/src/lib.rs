@@ -26,7 +26,9 @@
 //!   routing (`POST /jobs`, `GET /jobs`, `GET /jobs/<id>`,
 //!   `GET /jobs/<id>/report` as a chunked live tail of the report file,
 //!   `DELETE /jobs/<id>`, `GET /scenarios`, `POST /shards`,
-//!   `POST /shutdown`).
+//!   `POST /shutdown`).  Every job and every `POST /shards` lease plans
+//!   its sweep afresh, canonical-view caches included, exactly as
+//!   `ldx run` does: the daemon keeps no cache between jobs.
 //! * **Distributed dispatch** ([`lease`], [`coordinator`], `shards`):
 //!   `ldx dispatch` splits one sweep's shard layout across N worker
 //!   daemons under time-bounded, epoch-fenced leases, retries lost workers

@@ -37,10 +37,9 @@ use crate::queue::{JobQueue, JobTable};
 use crate::shards;
 pub use crate::shards::SHARDS_SCHEMA;
 use crate::spool::{RecoveredState, Spool};
-use ld_local::CachePool;
 use ld_runner::json::Json;
 use ld_runner::stream::{self, StreamOptions};
-use ld_runner::{scenarios, with_cache_pool, Scenario, ScenarioDoc};
+use ld_runner::{scenarios, Scenario, ScenarioDoc};
 use std::io::{BufReader, Read, Seek};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -82,7 +81,6 @@ struct Shared {
     table: JobTable,
     next_id: AtomicU64,
     draining: AtomicBool,
-    cache_pool: Arc<CachePool>,
     addr: SocketAddr,
     workers: usize,
 }
@@ -139,7 +137,6 @@ impl Server {
                 table,
                 next_id: AtomicU64::new(next_id),
                 draining: AtomicBool::new(false),
-                cache_pool: Arc::new(CachePool::new()),
                 addr,
                 workers: options.workers.max(1),
             }),
@@ -219,30 +216,28 @@ fn execute_job(shared: &Shared, id: u64) {
         csv: None,
     };
     let resume = shared.spool.ckpt_path(id).exists();
-    let outcome = with_cache_pool(&shared.cache_pool, || {
-        // DSL-backed jobs re-parse the spec's document (validated at
-        // submission, persisted in the spool) instead of the registry; the
-        // resume path hands the parsed scenario to the checkpoint machinery
-        // the same way.
-        let scenario: Result<Box<dyn Scenario>, String> = match &spec.scenario_doc {
-            Some(doc) => ScenarioDoc::parse(doc)
-                .map(|doc| Box::new(doc) as Box<dyn Scenario>)
-                .map_err(|e| format!("invalid scenario document in spool: {e}")),
-            None => scenarios::find(&spec.scenario)
-                .ok_or_else(|| format!("unknown scenario '{}'", spec.scenario)),
-        };
-        scenario.and_then(|scenario| {
-            if resume {
-                stream::resume_with_scenario(
-                    &report_path,
-                    Some(spec.config.threads),
-                    None,
-                    scenario.as_ref(),
-                )
-            } else {
-                stream::run(scenario.as_ref(), &spec.config, &report_path, &options)
-            }
-        })
+    // DSL-backed jobs re-parse the spec's document (validated at
+    // submission, persisted in the spool) instead of the registry; the
+    // resume path hands the parsed scenario to the checkpoint machinery the
+    // same way.
+    let scenario: Result<Box<dyn Scenario>, String> = match &spec.scenario_doc {
+        Some(doc) => ScenarioDoc::parse(doc)
+            .map(|doc| Box::new(doc) as Box<dyn Scenario>)
+            .map_err(|e| format!("invalid scenario document in spool: {e}")),
+        None => scenarios::find(&spec.scenario)
+            .ok_or_else(|| format!("unknown scenario '{}'", spec.scenario)),
+    };
+    let outcome = scenario.and_then(|scenario| {
+        if resume {
+            stream::resume_with_scenario(
+                &report_path,
+                Some(spec.config.threads),
+                None,
+                scenario.as_ref(),
+            )
+        } else {
+            stream::run(scenario.as_ref(), &spec.config, &report_path, &options)
+        }
     });
     match outcome {
         Ok(summary) if summary.completed => {
@@ -418,7 +413,7 @@ fn run_shards_request(shared: &Shared, body: &[u8], writer: &mut TcpStream) {
         return;
     }
     let config = request.spec.config;
-    let plan = match with_cache_pool(&shared.cache_pool, || scenario.plan(&config)) {
+    let plan = match scenario.plan(&config) {
         Ok(plan) => plan,
         Err(message) => {
             let body = Json::object()

@@ -39,6 +39,38 @@ fn reference_bytes(scenario: &str, config: &SweepConfig, out: &std::path::Path) 
     std::fs::read(out).expect("read reference report")
 }
 
+/// Submits `spec`, live-tails its report until the job is terminal, checks
+/// that it completed, and returns the job id and the delivered bytes.
+fn run_job(addr: &str, spec: &JobSpec) -> (u64, Vec<u8>) {
+    let submitted = client::request(
+        addr,
+        "POST",
+        "/jobs",
+        Some(&spec.to_json().render_compact()),
+    )
+    .expect("POST job");
+    assert_eq!(submitted.status, 201, "body: {}", submitted.text());
+    let submitted = Json::parse(&submitted.text()).expect("json");
+    let id = submitted.get("id").and_then(Json::as_u64).expect("job id");
+
+    // Live-tail the report while the job runs; the stream ends only after
+    // the job is terminal and fully delivered.
+    let report =
+        client::request(addr, "GET", &format!("/jobs/{id}/report"), None).expect("GET report");
+    assert_eq!(report.status, 200);
+    assert_eq!(report.header("transfer-encoding"), Some("chunked"));
+
+    let status = client::request(addr, "GET", &format!("/jobs/{id}"), None).expect("GET status");
+    let status = Json::parse(&status.text()).expect("json");
+    assert_eq!(
+        status.get("state").and_then(Json::as_str),
+        Some("completed"),
+        "message: {:?}",
+        status.get("message")
+    );
+    (id, report.body)
+}
+
 #[test]
 fn endpoints_roundtrip_and_report_bytes_match_ldx_run() {
     let dir = temp_dir("inproc");
@@ -102,38 +134,31 @@ fn endpoints_roundtrip_and_report_bytes_match_ldx_run() {
     spec.config.max_n = 24;
     spec.config.shard_size = 8;
     spec.config.threads = 2;
-    let submitted = client::request(
-        &addr,
-        "POST",
-        "/jobs",
-        Some(&spec.to_json().render_compact()),
-    )
-    .expect("POST job");
-    assert_eq!(submitted.status, 201, "body: {}", submitted.text());
-    let submitted = Json::parse(&submitted.text()).expect("json");
-    let id = submitted.get("id").and_then(Json::as_u64).expect("job id");
-
-    // Live-tail the report while the job runs; the stream ends only after
-    // the job is terminal and fully delivered.
-    let report =
-        client::request(&addr, "GET", &format!("/jobs/{id}/report"), None).expect("GET report");
-    assert_eq!(report.status, 200);
-    assert_eq!(report.header("transfer-encoding"), Some("chunked"));
-
-    let status = client::request(&addr, "GET", &format!("/jobs/{id}"), None).expect("GET status");
-    let status = Json::parse(&status.text()).expect("json");
-    assert_eq!(
-        status.get("state").and_then(Json::as_str),
-        Some("completed"),
-        "message: {:?}",
-        status.get("message")
-    );
-
+    let (id, report) = run_job(&addr, &spec);
     let reference = reference_bytes("section2-sweep", &spec.config, &dir.join("reference.json"));
     assert_eq!(
-        report.body, reference,
+        report, reference,
         "streamed report must byte-match `ldx run --deterministic`"
     );
+
+    // More jobs through the same daemon: one of another size, then the
+    // first spec again.  Each job plans its own caches, so every report
+    // still byte-matches its `ldx run` reference whatever ran before it.
+    let mut other = spec.clone();
+    other.config.max_n = 40;
+    let (_, other_report) = run_job(&addr, &other);
+    let other_reference = reference_bytes(
+        "section2-sweep",
+        &other.config,
+        &dir.join("reference-40.json"),
+    );
+    assert_ne!(
+        other_reference, reference,
+        "the two sizes plan different sweeps"
+    );
+    assert_eq!(other_report, other_reference, "second job, max_n 40");
+    let (_, again) = run_job(&addr, &spec);
+    assert_eq!(again, reference, "the first spec, submitted again");
 
     // The jobs index sees it too.
     let index = client::request(&addr, "GET", "/jobs", None).expect("GET /jobs");

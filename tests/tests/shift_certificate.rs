@@ -181,8 +181,13 @@ fn check_enumeration(labeled: &LabeledGraph<u8>, radius: usize, what: &str) {
         "{what}, radius {radius}"
     );
     assert_eq!(
-        enumeration::distinct_oblivious_views_of_cached(labeled, radius, &cache),
-        full,
+        enumeration::distinct_oblivious_views_of_budgeted_cached(
+            labeled,
+            radius,
+            &cache,
+            EnumerationBudget::UNLIMITED
+        ),
+        (full.clone(), full_usage),
         "{what}, radius {radius} (cached)"
     );
     assert_eq!(
