@@ -25,7 +25,6 @@ use crate::cell::{CellOutcome, CellSpec};
 use crate::json::Json;
 use crate::scenario::{Plan, Scenario, SweepConfig, MAX_RADIUS};
 use crate::scenarios;
-use ld_constructions::section2::promise::CycleParamLabel;
 use ld_constructions::section2::Section2Label;
 use ld_deciders::fractional::{self, FractionalVerifier};
 use ld_graph::{generators, Graph, LabeledGraph};
@@ -594,8 +593,7 @@ impl Workload {
                 )?;
             }
             Workload::Section2Promise { radius } => {
-                let cache = caches.promise(plan);
-                scenarios::promise_decider_cells(plan, &cache, config, config.radius_or(*radius));
+                scenarios::promise_decider_cells(plan, config, config.radius_or(*radius));
             }
             Workload::Paths { radius, step } => {
                 let cache = caches.structural(plan);
@@ -640,10 +638,8 @@ impl Workload {
                 )?;
             }
             Workload::PromiseViews { radius } => {
-                let cache = caches.promise(plan);
                 scenarios::promise_views_only_cells(
                     plan,
-                    &cache,
                     config,
                     config.radius_or(*radius),
                     budget,
@@ -678,13 +674,14 @@ impl Workload {
 
 /// Lazily shared caches, one per label family, registered with the plan on
 /// first use — which reproduces the built-ins' cache registration order
-/// when a document re-expresses one (the `section2-sweep` doc touches
-/// `Section2Label` before `CycleParamLabel`; the r3 doc touches `u8` first).
+/// when a document re-expresses one (the r3 doc touches `u8` before
+/// `Section2Label`).  Promise-cycle stanzas register none: each of their
+/// view cells owns a cache for its own run (see
+/// `scenarios::promise_views_cell`).
 #[derive(Default)]
 struct DslCaches {
     structural: Option<Arc<ViewCache<u8>>>,
     tree: Option<Arc<ViewCache<Section2Label>>>,
-    promise: Option<Arc<ViewCache<CycleParamLabel>>>,
 }
 
 impl DslCaches {
@@ -696,12 +693,6 @@ impl DslCaches {
 
     fn tree(&mut self, plan: &mut Plan) -> Arc<ViewCache<Section2Label>> {
         self.tree.get_or_insert_with(|| plan.share_cache()).clone()
-    }
-
-    fn promise(&mut self, plan: &mut Plan) -> Arc<ViewCache<CycleParamLabel>> {
-        self.promise
-            .get_or_insert_with(|| plan.share_cache())
-            .clone()
     }
 }
 

@@ -4,8 +4,8 @@
 //! each paired with a closure that executes it, plus handles to the
 //! canonical-view caches the cells share.  Every cache is born with its
 //! plan and dropped with it; no cache outlives a sweep or is shared between
-//! two plans, whether the plan runs under `ldx run`, a daemon job or a
-//! `POST /shards` lease.  The executor (see [`crate::executor`]) is
+//! two plans, whether the plan runs under `ldx run`, a daemon job or the
+//! `POST /shards` leases of one dispatch connection.  The executor (see [`crate::executor`]) is
 //! scenario-agnostic; all domain knowledge lives in the plans.
 
 use crate::cell::{CellOutcome, CellSpec};

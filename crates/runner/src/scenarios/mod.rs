@@ -34,7 +34,6 @@ use ld_local::enumeration::{
 };
 use ld_local::{BudgetUsage, IdBound};
 use std::hash::Hash;
-use std::sync::Arc;
 
 /// Enumerates two instances under one shared budget — skipping the second
 /// entirely once the first exhausts, so no capped work is thrown away — and
@@ -72,9 +71,14 @@ pub(crate) fn coverage_pair<L: Clone + Eq + Hash + Send + Sync>(
 /// `r >= 2t + 2` — the radius-`t` ball of an `n`-cycle is a path (the view
 /// the long cycle shows) iff `n >= 2t + 2`; shorter cycles see themselves
 /// whole.
+///
+/// The cell's canonical-view cache lives for one run of the cell and is not
+/// registered with the plan.  Every node of both instances carries
+/// `CycleParamLabel { r }`, so no view of one cell can equal a view of
+/// another, and a plan-wide cache would only hold entries no other cell can
+/// hit; within the cell, the yes- and no-instance share the cache.
 pub(crate) fn promise_views_cell(
     plan: &mut Plan,
-    cache: &Arc<ViewCache<CycleParamLabel>>,
     budget: EnumerationBudget,
     radius: usize,
     r: u64,
@@ -96,11 +100,11 @@ pub(crate) fn promise_views_cell(
         ],
     );
     let bound = bound.clone();
-    let cache = cache.clone();
     plan.push(spec, move |_seed| {
         let yes = promise::yes_instance(r).expect("promise cycles construct for swept r");
         let no =
             promise::no_instance(r, &bound, 1 << 20).expect("promise cycles construct for swept r");
+        let cache = ViewCache::<CycleParamLabel>::new();
         let (forward, backward, usage) = match coverage_pair(&yes, &no, radius, &cache, budget) {
             Ok(result) => result,
             Err(usage) => return CellOutcome::new("exhausted", true).with_budget(usage),

@@ -14,7 +14,7 @@
 
 use crate::cell::{CellOutcome, CellSpec};
 use crate::scenario::{Plan, Scenario, SweepConfig};
-use ld_constructions::section2::promise::{self, CycleParamLabel};
+use ld_constructions::section2::promise;
 use ld_constructions::section2::{Coord, Section2Label, Section2Params};
 use ld_deciders::section2::{IdBasedDecider, PromiseIdDecider, StructureVerifier};
 use ld_local::cache::ViewCache;
@@ -183,7 +183,6 @@ fn coverage_cell(
 
 fn promise_cells(
     plan: &mut Plan,
-    cache: &Arc<ViewCache<CycleParamLabel>>,
     budget: EnumerationBudget,
     radius: usize,
     r: u64,
@@ -220,7 +219,7 @@ fn promise_cells(
 
     // The radius-t ball of an n-cycle is a path (the same view the long
     // cycle shows) exactly when n >= 2t + 2; shorter cycles see themselves.
-    super::promise_views_cell(plan, cache, budget, radius, r, bound);
+    super::promise_views_cell(plan, budget, radius, r, bound);
 }
 
 /// Plans the layered-tree portion of `section2-sweep`: every sampled small
@@ -319,19 +318,14 @@ pub(crate) fn layered_tree_cells(
 /// cells plus the indistinguishability views cell, for every `r` whose
 /// no-instance (`3r`-cycle) fits `max_n`.  Shared with the scenario DSL's
 /// `section2-promise` stanza.
-pub(crate) fn promise_decider_cells(
-    plan: &mut Plan,
-    cache: &Arc<ViewCache<CycleParamLabel>>,
-    config: &SweepConfig,
-    views_radius: usize,
-) {
+pub(crate) fn promise_decider_cells(plan: &mut Plan, config: &SweepConfig, views_radius: usize) {
     let budget = config.enumeration_budget();
     // Promise cycles: the no-instance is the f(r) = 3r cycle, so the
     // pair fits the budget exactly when 3r <= max_n.
     let bound = IdBound::linear(3, 0);
     let max_r = (config.max_n as u64) / 3;
     for r in 3..=max_r {
-        promise_cells(plan, cache, budget, views_radius, r, &bound);
+        promise_cells(plan, budget, views_radius, r, &bound);
     }
 }
 
@@ -347,7 +341,6 @@ impl Scenario for Section2Sweep {
     fn plan(&self, config: &SweepConfig) -> Result<Plan, String> {
         let mut plan = Plan::new();
         let tree_cache = plan.share_cache::<Section2Label>();
-        let promise_cache = plan.share_cache::<CycleParamLabel>();
 
         let small_size = layered_tree_cells(
             &mut plan,
@@ -356,7 +349,7 @@ impl Scenario for Section2Sweep {
             MAX_ROOTS,
             config.radius_or(1),
         )?;
-        promise_decider_cells(&mut plan, &promise_cache, config, config.radius_or(2));
+        promise_decider_cells(&mut plan, config, config.radius_or(2));
 
         if plan.cells.is_empty() {
             return Err(format!(
@@ -378,7 +371,7 @@ mod tests {
     fn default_budget_plans_a_rich_sweep() {
         let plan = Section2Sweep.plan(&SweepConfig::default()).unwrap();
         assert!(plan.cells.len() >= 100, "{} cells", plan.cells.len());
-        assert_eq!(plan.caches.len(), 2);
+        assert_eq!(plan.caches.len(), 1);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 
 use crate::cell::{CellOutcome, CellSpec};
 use crate::scenario::{Plan, Scenario, SweepConfig};
-use ld_constructions::section2::promise::CycleParamLabel;
 use ld_constructions::section2::{Section2Label, Section2Params};
 use ld_graph::{generators, LabeledGraph};
 use ld_local::cache::ViewCache;
@@ -278,7 +277,6 @@ pub(crate) fn tree_family_cells(
 /// `section2-sweep-xl`.
 pub(crate) fn promise_cells(
     plan: &mut Plan,
-    cache: &Arc<ViewCache<CycleParamLabel>>,
     config: &SweepConfig,
     radius: usize,
     budget: EnumerationBudget,
@@ -286,7 +284,7 @@ pub(crate) fn promise_cells(
     let bound = IdBound::linear(3, 0);
     let max_r = (config.max_n as u64) / 3;
     for r in 3..=max_r {
-        super::promise_views_cell(plan, cache, budget, radius, r, &bound);
+        super::promise_views_cell(plan, budget, radius, r, &bound);
     }
 }
 
@@ -303,7 +301,6 @@ pub(crate) fn plan_radius3_families(
     let mut plan = Plan::new();
     let structural_cache = plan.share_cache::<u8>();
     let tree_cache = plan.share_cache::<Section2Label>();
-    let promise_cache = plan.share_cache::<CycleParamLabel>();
 
     path_cells(
         &mut plan,
@@ -316,7 +313,7 @@ pub(crate) fn plan_radius3_families(
     path_coverage_cells(&mut plan, &structural_cache, config, radius, budget);
     grid_profile_cells(&mut plan, &structural_cache, config, radius, budget);
     tree_family_cells(&mut plan, &tree_cache, config, radius, budget, MAX_ROOTS)?;
-    promise_cells(&mut plan, &promise_cache, config, radius, budget);
+    promise_cells(&mut plan, config, radius, budget);
 
     if plan.cells.is_empty() {
         return Err(format!(
@@ -352,7 +349,7 @@ mod tests {
     fn default_budget_plans_a_rich_radius3_sweep() {
         let plan = Section2SweepR3.plan(&SweepConfig::default()).unwrap();
         assert!(plan.cells.len() >= 60, "{} cells", plan.cells.len());
-        assert_eq!(plan.caches.len(), 3);
+        assert_eq!(plan.caches.len(), 2);
     }
 
     #[test]

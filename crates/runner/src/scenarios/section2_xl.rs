@@ -55,7 +55,7 @@ mod tests {
         };
         let plan = Section2SweepXl.plan(&config).unwrap();
         assert!(plan.cells.len() >= 150, "{} cells", plan.cells.len());
-        assert_eq!(plan.caches.len(), 3);
+        assert_eq!(plan.caches.len(), 2);
         for family in [
             "path/",
             "path-coverage/",

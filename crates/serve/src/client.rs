@@ -1,12 +1,17 @@
 //! A minimal HTTP/1.1 client for `ldx submit`/`ldx shutdown`, the
 //! dispatch coordinator, and the integration tests.
 //!
-//! One request per connection, mirroring the server's `Connection: close`
-//! discipline.  Responses are decoded by `Content-Length`, chunked
-//! transfer coding (the report stream), or read-to-EOF.  Transport
-//! failures are retried under a typed [`RetryPolicy`] with capped
-//! exponential backoff — the same policy object the coordinator uses to
-//! decide when a worker is dead.
+//! [`request`] and [`open_stream`] send one request per connection with
+//! `Connection: close`.  The dispatch coordinator instead keeps one
+//! connection per worker open across its `POST /shards` leases: it opens
+//! it with [`connect`], sends each request with [`exchange`] and reuses
+//! the socket while the worker answers `Connection: keep-alive`
+//! ([`keeps_alive`]).  Sockets are `TCP_NODELAY` and every request goes
+//! out in one write, so a reused connection never waits on delayed ACKs.
+//! Responses are decoded by `Content-Length`, chunked transfer coding (the
+//! report stream), or read-to-EOF.  Transport failures are retried under a
+//! typed [`RetryPolicy`] with capped exponential backoff — the same policy
+//! object the coordinator uses to decide when a worker is dead.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -183,26 +188,107 @@ pub fn open_stream(
     body: Option<&str>,
     read_timeout: Duration,
 ) -> Result<(u16, Vec<(String, String)>, BufReader<TcpStream>), String> {
+    let mut reader = connect(addr, read_timeout)?;
+    let (status, headers) =
+        exchange(&mut reader, addr, method, path, body, false).map_err(|e| e.to_string())?;
+    Ok((status, headers, reader))
+}
+
+/// Opens a `TCP_NODELAY` connection to `addr` with `read_timeout` on every
+/// read, ready for [`exchange`].
+///
+/// # Errors
+///
+/// Returns a message when the connection or a socket option fails.
+pub fn connect(addr: &str, read_timeout: Duration) -> Result<BufReader<TcpStream>, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
     stream
         .set_read_timeout(Some(read_timeout))
         .map_err(|e| format!("socket timeout: {e}"))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("cloning socket: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("socket nodelay: {e}"))?;
+    Ok(BufReader::new(stream))
+}
+
+/// Why [`exchange`] got no usable response head.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExchangeError {
+    /// The request could not be sent, or the connection ended or was reset
+    /// before the first response byte.  On a reused keep-alive connection
+    /// this is what a peer that closed the idle socket looks like, so the
+    /// request may be sent again on a fresh connection.
+    Unanswered(String),
+    /// The peer held the connection without answering within the read
+    /// timeout, or its response head is malformed or cut short.
+    Failed(String),
+}
+
+impl std::fmt::Display for ExchangeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExchangeError::Unanswered(e) | ExchangeError::Failed(e) => f.write_str(e),
+        }
+    }
+}
+
+impl std::error::Error for ExchangeError {}
+
+/// Sends one request on the open connection `reader` (from [`connect`]),
+/// in one write, and reads the response head; the reader is left at the
+/// first body byte.  `keep_alive` asks the server to keep the socket open
+/// for another request; [`keeps_alive`] on the returned headers says
+/// whether it will.  Read the body to its end before the next exchange.
+///
+/// # Errors
+///
+/// [`ExchangeError::Unanswered`] when the request could not be sent or the
+/// connection ended before any response byte, [`ExchangeError::Failed`] on
+/// a read timeout or a malformed or truncated head.
+pub fn exchange(
+    reader: &mut BufReader<TcpStream>,
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+    keep_alive: bool,
+) -> Result<(u16, Vec<(String, String)>), ExchangeError> {
     let body = body.unwrap_or("");
-    write!(
-        writer,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
         body.len()
-    )
-    .map_err(|e| format!("sending request: {e}"))?;
-    writer
-        .flush()
-        .map_err(|e| format!("sending request: {e}"))?;
-    let mut reader = BufReader::new(stream);
-    let (status, headers) = read_head(&mut reader)?;
-    Ok((status, headers, reader))
+    );
+    let unanswered = |e: std::io::Error| ExchangeError::Unanswered(format!("sending request: {e}"));
+    reader
+        .get_mut()
+        .write_all(request.as_bytes())
+        .map_err(unanswered)?;
+    reader.get_mut().flush().map_err(unanswered)?;
+    match reader.fill_buf() {
+        Ok([]) => {
+            return Err(ExchangeError::Unanswered(
+                "connection closed before the response".to_string(),
+            ))
+        }
+        Ok(_) => {}
+        Err(e) => {
+            let message = format!("awaiting the response: {e}");
+            return Err(match e.kind() {
+                ErrorKind::WouldBlock | ErrorKind::TimedOut => ExchangeError::Failed(message),
+                _ => ExchangeError::Unanswered(message),
+            });
+        }
+    }
+    read_head(reader).map_err(ExchangeError::Failed)
+}
+
+/// Whether `headers` say the server keeps the connection open
+/// (`Connection: keep-alive`).
+pub fn keeps_alive(headers: &[(String, String)]) -> bool {
+    headers
+        .iter()
+        .any(|(k, v)| k.eq_ignore_ascii_case("connection") && v.eq_ignore_ascii_case("keep-alive"))
 }
 
 /// Decodes one response off `reader`.

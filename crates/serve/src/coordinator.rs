@@ -33,7 +33,7 @@
 //! dropped, not merged.  A shard that exceeds its retry budget aborts
 //! the sweep (poison-pill detection); losing *every* worker aborts too.
 
-use crate::client::{is_chunked, ChunkedReader, RetryPolicy};
+use crate::client::{self, is_chunked, keeps_alive, ChunkedReader, ExchangeError, RetryPolicy};
 use crate::lease::{Assignment, Completion, LeasePolicy, LeaseTable};
 use crate::shards;
 use ld_local::cache::CacheStats;
@@ -41,6 +41,7 @@ use ld_runner::stream::{ReportSink, ShardCells, ShardLayout, StreamSummary};
 use ld_runner::{scenarios, RealIo, SweepConfig};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
@@ -218,6 +219,9 @@ impl Dispatcher {
         let retry = self.options.retry;
         let mut consecutive = 0u32;
         let mut backoff = retry.backoff();
+        // The kept-alive connection to this worker, so one worker-side
+        // plan serves every lease; dropped on any failure.
+        let mut connection = None;
         loop {
             if self.done.load(Ordering::SeqCst) {
                 return;
@@ -242,7 +246,7 @@ impl Dispatcher {
             let Some(assignment) = assignment else {
                 continue;
             };
-            match self.run_batch(addr, &assignment, tx) {
+            match self.run_batch(addr, &mut connection, &assignment, tx) {
                 Ok(()) => {
                     consecutive = 0;
                     backoff = retry.backoff();
@@ -270,23 +274,27 @@ impl Dispatcher {
     /// returned shard.  Any irregularity — transport error, non-200, bad
     /// framing, digest or shard-size mismatch, early EOF — is one worker
     /// failure; the caller releases whatever the batch did not complete.
+    ///
+    /// The batch goes out over `connection` when it holds one, else over a
+    /// fresh connection.  The connection is put back only after a response
+    /// the worker promised to keep alive was read to its end; a failure or
+    /// an early return drops it, so no half-read body is ever reused.
     fn run_batch(
         &self,
         addr: &str,
+        connection: &mut Option<BufReader<TcpStream>>,
         assignment: &Assignment,
         tx: &mpsc::Sender<ShardCells>,
     ) -> Result<(), String> {
         let body = shards::request_body(&self.options.scenario, &self.options.config, assignment);
-        let read_timeout = self.options.lease.max(Duration::from_secs(1));
-        let (status, headers, reader) =
-            crate::client::open_stream(addr, "POST", "/shards", Some(&body), read_timeout)?;
+        let (mut reader, status, headers) = self.send(addr, connection.take(), &body)?;
         if status != 200 {
             return Err(format!("{addr}: /shards answered {status}"));
         }
         if !is_chunked(&headers) {
             return Err(format!("{addr}: /shards response is not chunked"));
         }
-        let mut lines = BufReader::new(ChunkedReader::new(reader));
+        let mut lines = BufReader::new(ChunkedReader::new(&mut reader));
         let mut delivered = 0usize;
         let mut line = String::new();
         loop {
@@ -338,7 +346,38 @@ impl Dispatcher {
                 assignment.shards.len()
             ));
         }
+        if keeps_alive(&headers) {
+            *connection = Some(reader);
+        }
         Ok(())
+    }
+
+    /// Sends one `POST /shards` body to `addr` and reads the response head,
+    /// over `reused` when given.  A reused connection that ends before the
+    /// first response byte — the worker closed it while idle, after its
+    /// read timeout — is replaced by one fresh connection before the send
+    /// counts as a failure.
+    #[allow(clippy::type_complexity)]
+    fn send(
+        &self,
+        addr: &str,
+        reused: Option<BufReader<TcpStream>>,
+        body: &str,
+    ) -> Result<(BufReader<TcpStream>, u16, Vec<(String, String)>), String> {
+        let post = |reader: &mut BufReader<TcpStream>| {
+            client::exchange(reader, addr, "POST", "/shards", Some(body), true)
+        };
+        if let Some(mut reader) = reused {
+            match post(&mut reader) {
+                Ok((status, headers)) => return Ok((reader, status, headers)),
+                Err(ExchangeError::Unanswered(_)) => {}
+                Err(e) => return Err(format!("{addr}: {e}")),
+            }
+        }
+        let read_timeout = self.options.lease.max(Duration::from_secs(1));
+        let mut reader = client::connect(addr, read_timeout)?;
+        let (status, headers) = post(&mut reader).map_err(|e| format!("{addr}: {e}"))?;
+        Ok((reader, status, headers))
     }
 
     /// Receives verified shards and appends them to `sink` strictly in

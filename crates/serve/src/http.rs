@@ -2,9 +2,18 @@
 //!
 //! Just enough of RFC 9112 for this service's API: request-line + headers +
 //! `Content-Length` bodies inbound; fixed-length JSON responses and
-//! `Transfer-Encoding: chunked` report streams outbound.  One request per
-//! connection (`Connection: close`), no keep-alive, no TLS — the daemon is
-//! a loopback/trusted-network tool, like the spool directory it fronts.
+//! `Transfer-Encoding: chunked` report streams outbound.  No TLS — the
+//! daemon is a loopback/trusted-network tool, like the spool directory it
+//! fronts.
+//!
+//! Connections close after one response (`Connection: close`), with one
+//! exception: a `POST /shards` request that sends `Connection: keep-alive`
+//! gets a `Connection: keep-alive` answer, and the daemon then reads the
+//! next request off the same socket (see `crate::server`).  A response head
+//! says `keep-alive` only where the socket really stays open.  Both ends
+//! of such a connection set `TCP_NODELAY`: a head, chunk frame or request
+//! written in several small writes must never wait on the peer's delayed
+//! ACK.
 
 use ld_runner::json::Json;
 use std::io::{BufRead, Write};
@@ -59,6 +68,13 @@ impl Request {
             .iter()
             .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
+    }
+
+    /// Whether the client asked to keep the connection open for another
+    /// request (`Connection: keep-alive`, any case).
+    pub fn wants_keep_alive(&self) -> bool {
+        self.header("connection")
+            .is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"))
     }
 
     /// The target's path segments, query stripped, empties dropped
@@ -156,7 +172,8 @@ pub fn status_reason(status: u16) -> &'static str {
 }
 
 /// Writes a complete fixed-length JSON response (rendered with the repo's
-/// 2-space pretty renderer, like every report artifact).
+/// 2-space pretty renderer, like every report artifact).  The connection
+/// closes after it.
 ///
 /// # Errors
 ///
@@ -174,14 +191,21 @@ pub fn write_json(sink: &mut impl Write, status: u16, body: &Json) -> std::io::R
 }
 
 /// Writes the head of a chunked response; follow with a [`ChunkedWriter`].
+/// `keep_alive` says whether the socket stays open for another request
+/// once the body ends.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn write_chunked_head(sink: &mut impl Write, content_type: &str) -> std::io::Result<()> {
+pub fn write_chunked_head(
+    sink: &mut impl Write,
+    content_type: &str,
+    keep_alive: bool,
+) -> std::io::Result<()> {
+    let connection = if keep_alive { "keep-alive" } else { "close" };
     write!(
         sink,
-        "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+        "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: {connection}\r\n\r\n"
     )?;
     sink.flush()
 }

@@ -8,7 +8,8 @@
 //! * **Protocol** ([`http`], [`client`]): a hand-rolled minimal HTTP/1.1
 //!   server and client over `std::net` — the build container is offline, so
 //!   external HTTP stacks are out, exactly as `vendor/` stands in for
-//!   rand.  One request per connection, `Connection: close`.
+//!   rand.  One request per connection, `Connection: close`, except for
+//!   the dispatch coordinator's kept-alive `POST /shards` connections.
 //! * **Jobs** ([`job`]): a submission is a JSON body parsed by the in-repo
 //!   `Json` reader into a [`job::JobSpec`] (scenario, priority, a full
 //!   `SweepConfig`).  Typed submission errors map `ConfigError` variants to
@@ -26,9 +27,10 @@
 //!   routing (`POST /jobs`, `GET /jobs`, `GET /jobs/<id>`,
 //!   `GET /jobs/<id>/report` as a chunked live tail of the report file,
 //!   `DELETE /jobs/<id>`, `GET /scenarios`, `POST /shards`,
-//!   `POST /shutdown`).  Every job and every `POST /shards` lease plans
-//!   its sweep afresh, canonical-view caches included, exactly as
-//!   `ldx run` does: the daemon keeps no cache between jobs.
+//!   `POST /shutdown`).  Every job plans its sweep afresh, canonical-view
+//!   caches included, exactly as `ldx run` does; the `POST /shards` leases
+//!   of one kept-alive coordinator connection share one plan.  The daemon
+//!   keeps no plan or cache between jobs or between connections.
 //! * **Distributed dispatch** ([`lease`], [`coordinator`], `shards`):
 //!   `ldx dispatch` splits one sweep's shard layout across N worker
 //!   daemons under time-bounded, epoch-fenced leases, retries lost workers

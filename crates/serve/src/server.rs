@@ -39,7 +39,7 @@ pub use crate::shards::SHARDS_SCHEMA;
 use crate::spool::{RecoveredState, Spool};
 use ld_runner::json::Json;
 use ld_runner::stream::{self, StreamOptions};
-use ld_runner::{scenarios, Scenario, ScenarioDoc};
+use ld_runner::{scenarios, Plan, Scenario, ScenarioDoc, SweepConfig};
 use std::io::{BufReader, Read, Seek};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -261,22 +261,47 @@ fn fail_job(shared: &Shared, id: u64, message: String) {
         .transition(id, JobState::Running, JobState::Failed);
 }
 
-/// One connection: read a request, route it, answer, close.
+/// One connection: read a request, route it, answer, close — unless it
+/// was a `POST /shards` that asked for `Connection: keep-alive` and was
+/// answered in full, in which case the next request is read off the same
+/// socket.  The connection's shards plan lives exactly as long as the
+/// connection: the daemon keeps no plan or cache between connections.
 fn handle_connection(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_nodelay(true);
     let Ok(reader_stream) = stream.try_clone() else {
         return;
     };
     let mut reader = BufReader::new(reader_stream);
     let mut writer = stream;
-    match http::read_request(&mut reader) {
-        Ok(Some(request)) => route(shared, &request, &mut writer),
-        Ok(None) => {}
-        Err(e) => {
-            let body = Json::object()
-                .set("error", "malformed-request")
-                .set("message", e.to_string());
-            let _ = http::write_json(&mut writer, 400, &body);
+    let mut held: Option<HeldPlan> = None;
+    loop {
+        let request = match http::read_request(&mut reader) {
+            Ok(Some(request)) => request,
+            Ok(None) => return,
+            // Only a kept-alive connection holds a plan.  When its peer
+            // sends nothing within `READ_TIMEOUT` (or hangs up), close
+            // without a word: an answer here would be read as the response
+            // to the peer's next request.
+            Err(http::HttpError::Io(_)) if held.is_some() => return,
+            Err(e) => {
+                let body = Json::object()
+                    .set("error", "malformed-request")
+                    .set("message", e.to_string());
+                let _ = http::write_json(&mut writer, 400, &body);
+                return;
+            }
+        };
+        if request.method == "POST" && request.path_segments() == ["shards"] {
+            let keep_alive = request.wants_keep_alive();
+            let answered =
+                run_shards_request(shared, &request.body, &mut writer, &mut held, keep_alive);
+            if !(answered && keep_alive) {
+                return;
+            }
+        } else {
+            route(shared, &request, &mut writer);
+            return;
         }
     }
 }
@@ -320,7 +345,6 @@ fn route(shared: &Shared, request: &Request, writer: &mut TcpStream) {
             Some(id) => cancel(shared, id, writer),
             None => respond(writer, 404, &not_found()),
         },
-        ("POST", ["shards"]) => run_shards_request(shared, &request.body, writer),
         ("POST", ["shutdown"]) => {
             respond(writer, 200, &Json::object().set("draining", true));
             shared.draining.store(true, Ordering::SeqCst);
@@ -379,6 +403,14 @@ fn submit(shared: &Shared, body: &[u8]) -> Result<(u64, JobRecord), SubmitError>
     Ok((id, record))
 }
 
+/// The plan a connection's `POST /shards` requests share, with the
+/// scenario and config it was planned for.
+struct HeldPlan {
+    scenario: String,
+    config: SweepConfig,
+    plan: Plan,
+}
+
 /// `POST /shards`: execute shards `first_shard..stop_shard` of a scenario
 /// plan and stream one compact-JSON result line per shard, each sent as
 /// its own chunk.  The coordinator treats chunk arrival as the worker's
@@ -386,41 +418,64 @@ fn submit(shared: &Shared, body: &[u8]) -> Result<(u64, JobRecord), SubmitError>
 /// carried cell fragments, and fences stale lines by `epoch` — this
 /// handler just echoes the epoch it was given.  A worker never writes
 /// report files for dispatched shards; all merging happens coordinator-side.
-fn run_shards_request(shared: &Shared, body: &[u8], writer: &mut TcpStream) {
+///
+/// `held` is the connection's plan: a request for the same scenario and
+/// config runs on it, canonical-view caches warm; any other request drops
+/// it before planning afresh.  Error statuses always close the connection,
+/// and the 200 head says `keep-alive` exactly when `keep_alive` is set.
+/// Returns whether the response was sent in full.
+fn run_shards_request(
+    shared: &Shared,
+    body: &[u8],
+    writer: &mut TcpStream,
+    held: &mut Option<HeldPlan>,
+    keep_alive: bool,
+) -> bool {
     let respond = |writer: &mut TcpStream, status: u16, body: &Json| {
         let _ = http::write_json(writer, status, body);
+        false
     };
     if shared.draining.load(Ordering::SeqCst) {
         let e = SubmitError::Draining;
-        respond(writer, e.status(), &e.body());
-        return;
+        return respond(writer, e.status(), &e.body());
     }
     let request = match shards::parse_request(body) {
         Ok(request) => request,
-        Err(e) => {
-            respond(writer, e.status(), &e.body());
-            return;
-        }
+        Err(e) => return respond(writer, e.status(), &e.body()),
     };
     let Some(scenario) = scenarios::find(&request.spec.scenario) else {
         let e = SubmitError::UnknownScenario(request.spec.scenario);
-        respond(writer, e.status(), &e.body());
-        return;
+        return respond(writer, e.status(), &e.body());
     };
     if let Err(e) = request.spec.config.validate() {
         let e = SubmitError::Config(e);
-        respond(writer, e.status(), &e.body());
-        return;
+        return respond(writer, e.status(), &e.body());
     }
     let config = request.spec.config;
-    let plan = match scenario.plan(&config) {
-        Ok(plan) => plan,
-        Err(message) => {
-            let body = Json::object()
-                .set("error", "plan-failed")
-                .set("message", message);
-            respond(writer, 400, &body);
-            return;
+    let plan = match held.take() {
+        Some(h) if h.scenario == request.spec.scenario && h.config == config => {
+            &held.insert(h).plan
+        }
+        stale => {
+            // Drop the old plan and its caches before building the new one.
+            drop(stale);
+            match scenario.plan(&config) {
+                Ok(plan) => {
+                    &held
+                        .insert(HeldPlan {
+                            scenario: request.spec.scenario,
+                            config: config.clone(),
+                            plan,
+                        })
+                        .plan
+                }
+                Err(message) => {
+                    let body = Json::object()
+                        .set("error", "plan-failed")
+                        .set("message", message);
+                    return respond(writer, 400, &body);
+                }
+            }
         }
     };
     let layout = stream::ShardLayout::new(plan.cells.len(), config.shard_size);
@@ -434,11 +489,10 @@ fn run_shards_request(shared: &Shared, body: &[u8], writer: &mut TcpStream) {
                 layout.shard_count()
             ),
         );
-        respond(writer, 400, &body);
-        return;
+        return respond(writer, 400, &body);
     }
-    if http::write_chunked_head(writer, "application/json").is_err() {
-        return;
+    if http::write_chunked_head(writer, "application/json", keep_alive).is_err() {
+        return false;
     }
     let mut chunks = ChunkedWriter::new(writer);
     for shard in request.first_shard..request.stop_shard {
@@ -447,10 +501,10 @@ fn run_shards_request(shared: &Shared, body: &[u8], writer: &mut TcpStream) {
         if chunks.chunk(line.as_bytes()).is_err() {
             // The coordinator hung up (lease expired, or it finished with
             // results from elsewhere): abandon the rest of the batch.
-            return;
+            return false;
         }
     }
-    let _ = chunks.finish();
+    chunks.finish().is_ok()
 }
 
 /// `DELETE /jobs/<id>`: cancel a queued job, purge a terminal one, refuse
@@ -555,7 +609,7 @@ fn tail_step(
 /// the whole report.  Between passes the tail parks on the table version
 /// it read, so the terminal transition wakes it at once.
 fn stream_report(shared: &Shared, id: u64, writer: &mut TcpStream) {
-    if http::write_chunked_head(writer, "application/json").is_err() {
+    if http::write_chunked_head(writer, "application/json", false).is_err() {
         return;
     }
     let path = shared.spool.report_path(id);
