@@ -12,7 +12,7 @@
 //! * **layered quadtree pyramids** — the Appendix A gadget that makes grids
 //!   locally checkable (Figure 3).
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::{csr_offset, Graph, NodeId};
 use crate::{GraphError, Result};
 use rand::Rng;
 use std::collections::BTreeSet;
@@ -28,20 +28,32 @@ pub fn cycle(n: usize) -> Graph {
     ring(n, n >= 3)
 }
 
-/// The `n`-path, closed by the edge `{n-1, 0}` when `closed`, written
-/// straight into CSR rows.
+/// The `n`-path, closed by the edge `{n-1, 0}` when `closed` (`n >= 3`),
+/// written straight into CSR arrays: the end rows, then `[i - 1, i + 1]`
+/// for every inner node, already sorted.
 fn ring(n: usize, closed: bool) -> Graph {
-    Graph::from_rows(n, |i, row| {
-        if i > 0 {
-            row.push(NodeId::from(i - 1));
-        }
-        if i + 1 < n {
-            row.push(NodeId::from(i + 1));
-        }
-        if closed && (i == 0 || i == n - 1) {
-            row.push(NodeId::from(n - 1 - i));
-        }
-    })
+    if n < 2 {
+        return Graph::with_nodes(n);
+    }
+    let last = n - 1;
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut targets = Vec::with_capacity(2 * n);
+    offsets.push(0);
+    targets.push(NodeId(1));
+    if closed {
+        targets.push(NodeId::from(last));
+    }
+    offsets.push(csr_offset(targets.len()));
+    for i in 1..last {
+        targets.extend([NodeId::from(i - 1), NodeId::from(i + 1)]);
+        offsets.push(csr_offset(targets.len()));
+    }
+    if closed {
+        targets.push(NodeId(0));
+    }
+    targets.push(NodeId::from(last - 1));
+    offsets.push(csr_offset(targets.len()));
+    Graph::from_csr(offsets, targets)
 }
 
 /// Complete graph on `n` nodes.

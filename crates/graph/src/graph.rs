@@ -116,7 +116,15 @@ impl Graph {
             targets[start..].sort_unstable();
             offsets.push(csr_offset(targets.len()));
         }
+        Graph::from_csr(offsets, targets)
+    }
+
+    /// Adopts CSR arrays that already meet the layout invariants (sorted,
+    /// in-range, loop-free, symmetric rows), which debug builds check.
+    pub(crate) fn from_csr(offsets: Vec<u32>, targets: Vec<NodeId>) -> Self {
         let g = Graph { offsets, targets };
+        debug_assert!(g.offsets.first() == Some(&0));
+        debug_assert!(g.offsets.last() == Some(&csr_offset(g.targets.len())));
         debug_assert!(g.nodes().all(|v| {
             let row = g.row(v);
             row.windows(2).all(|w| w[0] < w[1]) && row.iter().all(|&w| w != v && g.has_edge(w, v))
@@ -243,6 +251,43 @@ impl Graph {
         NeighborIter {
             inner: self.row(v).iter(),
         }
+    }
+
+    /// The nodes that do not *shift* onto their successor, ascending: every
+    /// `x` for which `x + 1` is not a node, `same(x)` is false, or row
+    /// `x + 1` is not row `x` with every entry plus one.  The last node is
+    /// always listed.  One pass over the CSR arrays, `O(n + m)`.
+    ///
+    /// View enumeration passes "`x` and `x + 1` carry equal labels" as
+    /// `same`: the nodes between two breaks are then translates of each
+    /// other, and so are the balls around them (`ld_local::enumeration`).
+    ///
+    /// ```
+    /// use ld_graph::generators;
+    ///
+    /// // Rows 1..=n-3 of a cycle are [x - 1, x + 1]; rows 0 and n-1 wrap.
+    /// assert_eq!(generators::cycle(8).shift_breaks(|_| true), [0, 6, 7]);
+    /// assert_eq!(generators::path(8).shift_breaks(|x| x != 3), [0, 3, 6, 7]);
+    /// ```
+    pub fn shift_breaks(&self, mut same: impl FnMut(usize) -> bool) -> Vec<usize> {
+        let Some(last) = self.node_count().checked_sub(1) else {
+            return Vec::new();
+        };
+        let mut breaks = Vec::new();
+        let (mut start, mut mid) = (0, self.offsets[1] as usize);
+        for x in 0..last {
+            let end = self.offsets[x + 2] as usize;
+            let (here, next) = (&self.targets[start..mid], &self.targets[mid..end]);
+            if !same(x)
+                || here.len() != next.len()
+                || here.iter().zip(next).any(|(p, q)| q.0 != p.0 + 1)
+            {
+                breaks.push(x);
+            }
+            (start, mid) = (mid, end);
+        }
+        breaks.push(last);
+        breaks
     }
 
     /// Iterator over all nodes.

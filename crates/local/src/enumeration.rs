@@ -24,46 +24,48 @@
 //! Most centres of a swept family need no search at all.  Call node `x`
 //! **shift-equal** when `x + 1` is a node with `x`'s label word (labels
 //! enter the exact key only as words, so equal labels always qualify) and
-//! `x + 1`'s neighbour row is `x`'s row with every entry plus one.
-//! `runs[x]` counts the consecutive shift-equal nodes starting at `x` (one
-//! backward `O(n + m)` pass).
+//! `x + 1`'s neighbour row is `x`'s row with every entry plus one; a run of
+//! shift-equal nodes ends at the next break
+//! ([`Graph::shift_breaks`](ld_graph::Graph::shift_breaks), one pass).
 //!
-//! *Shift certificate.* Let `K` be the least `runs[u]` over the members `u`
-//! of `B(v, t)`.  Then for every `j ≤ K` the map `u ↦ u + j` carries
+//! *Shift certificate.* Let `K` be the least run over the members `u` of
+//! `B(v, t)`.  Then for every `j ≤ K` the map `u ↦ u + j` carries
 //! `B(v, t)` onto `B(v + j, t)`.  Each member is `j` shift-equal steps from
 //! its image, so its row shifts by `j`; by induction on BFS layers, layer
 //! `d + 1` of `v + j` is layer `d + 1` of `v` plus `j`.  The shift is
 //! monotone, so the `(distance, original id)` order inside each layer, and
 //! with it the ball-local numbering, the induced edges and the label words,
-//! all carry over: `B(v + j, t)` has `v`'s exact key and size.
+//! all carry over: `B(v + j, t)` has `v`'s exact key and size, and so has
+//! every smaller ball `B(v + j, s)`, which lies inside it.
 //!
-//! *Budget argument.* The enumeration searches `v`, then skips the next
-//! `K` centres.  Each is charged the searched ball's size and exhausts
-//! exactly when that size exceeds the remaining node cap, which is the
-//! verdict its own bounded BFS would reach.  Its layout is already seen,
-//! so it touches neither the view cap nor the first-occurrence order.  A
-//! cycle or path needs `2t + 3` searches instead of `n`; a grid row skips
-//! every column more than `t` from the side columns.  Uncertified centres
-//! take the per-centre search unchanged.
+//! *Budget argument.* One loop serves one radius and the profile `0..=t`.
+//! It searches `v` at every radius, then charges the next `K` centres in
+//! one step: `min(K, left / S)` whole centres (`S` sums `v`'s ball sizes),
+//! then radius by radius up to the node cap.  A certified ball exhausts
+//! exactly when its size exceeds the remaining cap, as its own bounded BFS
+//! would; its layout is already seen, so it touches neither the view cap
+//! nor the first-occurrence order.  A cycle or path needs `2t + 3`
+//! searches instead of `n`; a grid row skips every column more than `t`
+//! from the side columns.
 //!
 //! The seed pipeline — bucket by the Weisfeiler–Leman `canonical_key`, then
 //! confirm by backtracking isomorphism — is retained as
 //! [`distinct_oblivious_views_pairwise`], the differential-test oracle for
-//! the canonical-code engine (and the honest baseline in the benchmarks).
+//! the canonical-code engine.
 //!
 //! Radius-3 workloads additionally get **work budgets**
 //! ([`EnumerationBudget`]) — deterministic node/view caps whose exhaustion
 //! is an explicit outcome ([`BudgetUsage`]), not a wall-time surprise — and
-//! an **incremental multi-radius profile**
-//! ([`distinct_views_by_radius_cached`]) that extends each node's BFS from
-//! radius to radius instead of re-running it.
+//! a **certified multi-radius profile** ([`distinct_views_by_radius_cached`])
+//! that extends each searched centre's BFS from radius to radius.
 
 use crate::cache::ViewCache;
 use crate::hashing::{FxBuildHasher, FxHashMap, FxHashSet};
 use crate::view::ObliviousView;
 use ld_graph::canon::CanonicalCode;
-use ld_graph::{BallExtractor, CanonScratch, Graph, LabeledGraph, NodeId};
+use ld_graph::{BallExtractor, CanonScratch, LabeledGraph, NodeId};
 use std::hash::{BuildHasher, Hash};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// A work budget for view enumeration: caps on the total number of ball
@@ -255,108 +257,131 @@ fn label_words<L: Hash>(labeled: &LabeledGraph<L>) -> Vec<u64> {
         .collect()
 }
 
-/// `runs[x]`: the number of consecutive shift-equal nodes starting at `x`,
-/// where `x` is shift-equal when `x + 1` is a node with `x`'s label word
-/// whose neighbour row is `x`'s row with every entry plus one (the shift
-/// certificate of the module docs).  One backward pass, `O(n + m)`.
-fn shift_runs(graph: &Graph, words: &[u64]) -> Vec<usize> {
-    let n = graph.node_count();
-    let row = |x: usize| graph.neighbors(NodeId::from(x));
-    let mut runs = vec![0; n];
-    for x in (0..n.saturating_sub(1)).rev() {
-        let (here, next) = (row(x), row(x + 1));
-        let shift_equal = words[x] == words[x + 1]
-            && here.len() == next.len()
-            && here.zip(next).all(|(p, q)| q.index() == p.index() + 1);
-        if shift_equal {
-            runs[x] = runs[x + 1] + 1;
-        }
-    }
-    runs
+/// `K` of the shift certificate: the shortest run, among the members `u`
+/// of a ball, of shift-equal nodes starting at `u`.
+fn certified_run(breaks: &[usize], members: &[NodeId]) -> usize {
+    members
+        .iter()
+        .map(|u| breaks[breaks.partition_point(|&b| b < u.index())] - u.index())
+        .min()
+        .unwrap_or(0)
 }
 
-/// Budgeted body shared by every `distinct_oblivious_views_of*` variant.
-/// With [`EnumerationBudget::UNLIMITED`] it is exactly the unbudgeted
-/// pipeline; otherwise it stops — deterministically — the moment a ball
-/// would cross the node cap or a new layout would cross the view cap.
-/// Centres covered by a shift certificate (module docs) are charged
-/// without a search.
-fn distinct_of_budgeted_impl<L: Clone + Eq + Hash>(
+/// One radius of an enumeration: the layouts and canonical codes seen so
+/// far, the distinct views kept, and the last searched centre's ball size.
+struct Layer<L> {
+    exact_seen: FxHashSet<Vec<u64>>,
+    codes: FxHashSet<Arc<CanonicalCode>>,
+    views: Vec<ObliviousView<L>>,
+    ball_size: u64,
+}
+
+/// The one enumeration loop behind every `distinct_*` entry point: one
+/// layer per radius of `radii`, and what the enumeration spent.  A searched
+/// centre's BFS is extended from radius to radius, a new layout is
+/// materialised from the BFS scratch its fingerprint just populated, and
+/// the centres its largest ball certifies are charged in one step (module
+/// docs): the stop point, the charge and the first-occurrence order are
+/// those of a per-centre search.
+fn enumerate<L: Clone + Eq + Hash>(
     labeled: &LabeledGraph<L>,
-    radius: usize,
+    radii: RangeInclusive<usize>,
     budget: EnumerationBudget,
     mut code_of: impl FnMut(&ObliviousView<L>, &mut CanonScratch) -> Arc<CanonicalCode>,
-) -> (Vec<ObliviousView<L>>, BudgetUsage) {
+) -> (Vec<Layer<L>>, BudgetUsage) {
     let graph = labeled.graph();
     let words = label_words(labeled);
+    let breaks = graph.shift_breaks(|x| words[x] == words[x + 1]);
+    let lo = *radii.start();
+    let mut layers: Vec<Layer<L>> = radii
+        .map(|_| Layer {
+            exact_seen: FxHashSet::default(),
+            codes: FxHashSet::default(),
+            views: Vec::new(),
+            ball_size: 0,
+        })
+        .collect();
     let mut extractor = BallExtractor::new();
     let mut scratch = CanonScratch::new();
     let mut key = Vec::new();
-    let mut exact_seen: FxHashSet<Vec<u64>> = FxHashSet::default();
-    let mut codes: FxHashSet<Arc<CanonicalCode>> = FxHashSet::default();
-    let mut result = Vec::new();
     let mut usage = BudgetUsage::default();
-    let runs = shift_runs(graph, &words);
-    // Centres the last searched ball still certifies, and that ball's size.
-    let mut certified = 0;
-    let mut ball_size = 0;
-    for v in graph.nodes() {
-        let remaining = budget.max_nodes.saturating_sub(usage.nodes_visited);
-        if remaining == 0 {
-            usage.exhausted = true;
-            break;
-        }
-        if certified > 0 {
-            // A translate of the searched centre: same size, and its exact
-            // key is already in `exact_seen`.
-            certified -= 1;
-            if ball_size > remaining {
+    // `v`, and the index of the first break at or after it.
+    let (mut v, mut next_break) = (0, 0);
+    'centres: while v < graph.node_count() {
+        for (radius, layer) in (lo..).zip(&mut layers) {
+            let remaining = budget.max_nodes.saturating_sub(usage.nodes_visited);
+            let cap = usize::try_from(remaining).unwrap_or(usize::MAX);
+            let fits = if radius == lo {
+                extractor
+                    .exact_key_within(graph, NodeId::from(v), lo, cap, &mut key, |u| {
+                        words[u.index()]
+                    })
+                    // ld-analyze: allow(D004, reason = "invariant: v < node_count, a node of this graph")
+                    .expect("node comes from the graph itself")
+            } else {
+                extractor.extend_current_within(graph, radius, cap)
+            };
+            if !fits {
                 usage.exhausted = true;
-                break;
+                break 'centres;
             }
-            usage.nodes_visited += ball_size;
+            if radius > lo {
+                extractor.current_exact_key(graph, &mut key, |u| words[u.index()]);
+            }
+            layer.ball_size = extractor.current_node_count() as u64;
+            usage.nodes_visited += layer.ball_size;
+            if layer.exact_seen.contains(key.as_slice()) {
+                // Seen layout at this radius; larger radii may still be new.
+                continue;
+            }
+            if usage.views_materialized >= budget.max_views {
+                usage.exhausted = true;
+                break 'centres;
+            }
+            layer.exact_seen.insert(key.clone());
+            let ball = extractor.materialize_current(graph);
+            let labels = ball
+                .mapping()
+                .iter()
+                .map(|&orig| labeled.label(orig).clone())
+                .collect();
+            let view = ObliviousView::from_ball(ball, labels);
+            usage.views_materialized += 1;
+            if layer.codes.insert(code_of(&view, &mut scratch)) {
+                layer.views.push(view);
+            }
+        }
+        // Translates of `v`: same sizes, every key already seen.  A centre
+        // that is a break, as most of an irregular graph's are, certifies
+        // none.
+        while breaks[next_break] < v {
+            next_break += 1;
+        }
+        let certified = if breaks[next_break] == v {
+            0
+        } else {
+            certified_run(&breaks, extractor.current_members())
+        };
+        v += certified + 1;
+        if certified == 0 {
             continue;
         }
-        let cap = usize::try_from(remaining).unwrap_or(usize::MAX);
-        let fits = extractor
-            .exact_key_within(graph, v, radius, cap, &mut key, |u| words[u.index()])
-            // ld-analyze: allow(D004, reason = "invariant: v iterates over this graph's own nodes")
-            .expect("node comes from the graph itself");
-        if !fits {
+        let per_centre: u64 = layers.iter().map(|layer| layer.ball_size).sum();
+        let left = budget.max_nodes.saturating_sub(usage.nodes_visited);
+        let whole = (certified as u64).min(left / per_centre);
+        usage.nodes_visited += whole * per_centre;
+        if whole < certified as u64 {
+            for layer in &layers {
+                if layer.ball_size > budget.max_nodes - usage.nodes_visited {
+                    break;
+                }
+                usage.nodes_visited += layer.ball_size;
+            }
             usage.exhausted = true;
             break;
-        }
-        ball_size = extractor.current_node_count() as u64;
-        certified = extractor
-            .current_members()
-            .iter()
-            .map(|u| runs[u.index()])
-            .min()
-            .unwrap_or(0);
-        usage.nodes_visited += ball_size;
-        if exact_seen.contains(key.as_slice()) {
-            continue;
-        }
-        if usage.views_materialized >= budget.max_views {
-            usage.exhausted = true;
-            break;
-        }
-        exact_seen.insert(key.clone());
-        // New layout: materialise the ball from the BFS scratch the
-        // fingerprint just populated — no second traversal.
-        let ball = extractor.materialize_current(graph);
-        let labels = ball
-            .mapping()
-            .iter()
-            .map(|&orig| labeled.label(orig).clone())
-            .collect();
-        let view = ObliviousView::from_ball(ball, labels);
-        usage.views_materialized += 1;
-        if codes.insert(code_of(&view, &mut scratch)) {
-            result.push(view);
         }
     }
-    (result, usage)
+    (layers, usage)
 }
 
 /// Budget-aware [`distinct_oblivious_views_of`]: enumeration stops — with
@@ -370,9 +395,24 @@ pub fn distinct_oblivious_views_of_budgeted<L: Clone + Eq + Hash>(
     radius: usize,
     budget: EnumerationBudget,
 ) -> (Vec<ObliviousView<L>>, BudgetUsage) {
-    distinct_of_budgeted_impl(labeled, radius, budget, |view, scratch| {
+    let (mut layers, usage) = enumerate(labeled, radius..=radius, budget, |view, scratch| {
         Arc::new(view.canonical_code_in(scratch))
-    })
+    });
+    (layers.swap_remove(0).views, usage)
+}
+
+/// The canonical codes of the views [`distinct_oblivious_views_of_budgeted`]
+/// returns, one per view, for callers that compare the view sets of two
+/// graphs and keep no view.
+pub fn distinct_codes_of_budgeted<L: Clone + Eq + Hash>(
+    labeled: &LabeledGraph<L>,
+    radius: usize,
+    budget: EnumerationBudget,
+) -> (FxHashSet<Arc<CanonicalCode>>, BudgetUsage) {
+    let (mut layers, usage) = enumerate(labeled, radius..=radius, budget, |view, scratch| {
+        Arc::new(view.canonical_code_in(scratch))
+    });
+    (layers.swap_remove(0).codes, usage)
 }
 
 /// [`distinct_oblivious_views_of_budgeted`], with canonical codes served
@@ -383,85 +423,38 @@ pub fn distinct_oblivious_views_of_budgeted_cached<L: Clone + Eq + Hash + Send +
     cache: &ViewCache<L>,
     budget: EnumerationBudget,
 ) -> (Vec<ObliviousView<L>>, BudgetUsage) {
-    distinct_of_budgeted_impl(labeled, radius, budget, |view, scratch| {
+    let (mut layers, usage) = enumerate(labeled, radius..=radius, budget, |view, scratch| {
         cache.canonical_code_in(view, scratch)
-    })
+    });
+    (layers.swap_remove(0).views, usage)
 }
 
 /// The distinct oblivious views of a labelled graph at **every** radius
-/// `0..=max_radius`, in one incremental pass: each node's BFS is run once
-/// and *extended* from radius to radius ([`BallExtractor::extend_current`]),
-/// so the radius-3 profile costs one radius-3 extraction per node instead
-/// of four overlapping ones.  Entry `r` of the returned vector holds the
-/// distinct views at radius `r`.
+/// `0..=max_radius`, in one incremental pass: each searched centre's BFS
+/// is run once and *extended* from radius to radius
+/// ([`BallExtractor::extend_current`]), so the radius-3 profile costs one
+/// radius-3 extraction per searched centre instead of four overlapping
+/// ones.  Entry `r` of the returned vector holds the distinct views at
+/// radius `r`, exactly as [`distinct_oblivious_views_of`] at radius `r`
+/// returns them.
 ///
-/// The budget is shared across all radii (each ball charges its node count
-/// at every radius it is fingerprinted at); on exhaustion the per-radius
-/// results already gathered are returned with `exhausted = true`.
+/// The profile is certified like every enumeration here: the run a
+/// searched centre's radius-`max_radius` ball certifies covers all its
+/// radii, and those centres are charged without a search (module docs).
+/// The budget is shared across all radii (each centre is charged its ball
+/// size at every radius, in radius order, centre by centre); on exhaustion
+/// the per-radius results already gathered are returned with
+/// `exhausted = true`.
 pub fn distinct_views_by_radius_cached<L: Clone + Eq + Hash + Send + Sync>(
     labeled: &LabeledGraph<L>,
     max_radius: usize,
     cache: &ViewCache<L>,
     budget: EnumerationBudget,
 ) -> (Vec<Vec<ObliviousView<L>>>, BudgetUsage) {
-    let graph = labeled.graph();
-    let words = label_words(labeled);
-    let mut extractor = BallExtractor::new();
-    let mut scratch = CanonScratch::new();
-    let mut key = Vec::new();
-    let mut exact_seen: Vec<FxHashSet<Vec<u64>>> = vec![FxHashSet::default(); max_radius + 1];
-    let mut codes: Vec<FxHashSet<Arc<CanonicalCode>>> = vec![FxHashSet::default(); max_radius + 1];
-    let mut results: Vec<Vec<ObliviousView<L>>> = vec![Vec::new(); max_radius + 1];
-    let mut usage = BudgetUsage::default();
-    'nodes: for v in graph.nodes() {
-        for radius in 0..=max_radius {
-            let remaining = budget.max_nodes.saturating_sub(usage.nodes_visited);
-            if remaining == 0 {
-                usage.exhausted = true;
-                break 'nodes;
-            }
-            let cap = usize::try_from(remaining).unwrap_or(usize::MAX);
-            let fits = if radius == 0 {
-                extractor
-                    .exact_key_within(graph, v, 0, cap, &mut key, |u| words[u.index()])
-                    // ld-analyze: allow(D004, reason = "invariant: v iterates over this graph's own nodes")
-                    .expect("node comes from the graph itself")
-            } else {
-                let fits = extractor.extend_current_within(graph, radius, cap);
-                if fits {
-                    extractor.current_exact_key(graph, &mut key, |u| words[u.index()]);
-                }
-                fits
-            };
-            if !fits {
-                usage.exhausted = true;
-                break 'nodes;
-            }
-            usage.nodes_visited += extractor.current_node_count() as u64;
-            if exact_seen[radius].contains(key.as_slice()) {
-                // Seen layout at this radius — but keep extending: the same
-                // centre can still contribute new views at larger radii.
-                continue;
-            }
-            if usage.views_materialized >= budget.max_views {
-                usage.exhausted = true;
-                break 'nodes;
-            }
-            exact_seen[radius].insert(key.clone());
-            let ball = extractor.materialize_current(graph);
-            let labels = ball
-                .mapping()
-                .iter()
-                .map(|&orig| labeled.label(orig).clone())
-                .collect();
-            let view = ObliviousView::from_ball(ball, labels);
-            usage.views_materialized += 1;
-            if codes[radius].insert(cache.canonical_code_in(&view, &mut scratch)) {
-                results[radius].push(view);
-            }
-        }
-    }
-    (results, usage)
+    let (layers, usage) = enumerate(labeled, 0..=max_radius, budget, |view, scratch| {
+        cache.canonical_code_in(view, scratch)
+    });
+    (layers.into_iter().map(|layer| layer.views).collect(), usage)
 }
 
 /// The seed deduplication pipeline — Weisfeiler–Leman bucketing followed by

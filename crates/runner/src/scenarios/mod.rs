@@ -26,14 +26,18 @@ pub use table::RelationshipTable;
 
 use crate::cell::{CellOutcome, CellSpec};
 use crate::scenario::{Plan, Scenario};
-use ld_constructions::section2::promise::{self, CycleParamLabel};
+use ld_constructions::section2::promise;
+use ld_graph::canon::CanonicalCode;
 use ld_graph::LabeledGraph;
 use ld_local::cache::ViewCache;
 use ld_local::enumeration::{
-    coverage_cached, distinct_oblivious_views_of_budgeted_cached, EnumerationBudget,
+    coverage_cached, distinct_codes_of_budgeted, distinct_oblivious_views_of_budgeted_cached,
+    EnumerationBudget,
 };
+use ld_local::hashing::FxHashSet;
 use ld_local::{BudgetUsage, IdBound};
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// Enumerates two instances under one shared budget — skipping the second
 /// entirely once the first exhausts, so no capped work is thrown away — and
@@ -65,6 +69,19 @@ pub(crate) fn coverage_pair<L: Clone + Eq + Hash + Send + Sync>(
     Ok((forward, backward, usage))
 }
 
+/// The share of `targets` that `family` holds: [`coverage_cached`] over
+/// two sets of distinct views, given by their canonical codes.
+fn code_coverage(
+    targets: &FxHashSet<Arc<CanonicalCode>>,
+    family: &FxHashSet<Arc<CanonicalCode>>,
+) -> f64 {
+    if targets.is_empty() {
+        return 1.0;
+    }
+    let covered = targets.iter().filter(|code| family.contains(*code)).count();
+    covered as f64 / targets.len() as f64
+}
+
 /// Plans the promise-cycle *views* cell shared by `section2-sweep` and
 /// `section2-sweep-r3`: the yes-instance (`r`-cycle) and no-instance
 /// (`f(r)`-cycle) are indistinguishable at view radius `t` exactly when
@@ -72,11 +89,10 @@ pub(crate) fn coverage_pair<L: Clone + Eq + Hash + Send + Sync>(
 /// the long cycle shows) iff `n >= 2t + 2`; shorter cycles see themselves
 /// whole.
 ///
-/// The cell's canonical-view cache lives for one run of the cell and is not
-/// registered with the plan.  Every node of both instances carries
-/// `CycleParamLabel { r }`, so no view of one cell can equal a view of
-/// another, and a plan-wide cache would only hold entries no other cell can
-/// hit; within the cell, the yes- and no-instance share the cache.
+/// The cell keeps no canonical-view cache.  Every node of both instances
+/// carries `CycleParamLabel { r }`, so no view of one cell can equal a view
+/// of another, and each instance shows one or two distinct views: the cell
+/// compares the two instances' sets of canonical codes directly.
 pub(crate) fn promise_views_cell(
     plan: &mut Plan,
     budget: EnumerationBudget,
@@ -104,11 +120,19 @@ pub(crate) fn promise_views_cell(
         let yes = promise::yes_instance(r).expect("promise cycles construct for swept r");
         let no =
             promise::no_instance(r, &bound, 1 << 20).expect("promise cycles construct for swept r");
-        let cache = ViewCache::<CycleParamLabel>::new();
-        let (forward, backward, usage) = match coverage_pair(&yes, &no, radius, &cache, budget) {
-            Ok(result) => result,
-            Err(usage) => return CellOutcome::new("exhausted", true).with_budget(usage),
-        };
+        let (yes_codes, mut usage) = distinct_codes_of_budgeted(&yes, radius, budget);
+        if usage.exhausted {
+            return CellOutcome::new("exhausted", true).with_budget(usage);
+        }
+        let (no_codes, spent) = distinct_codes_of_budgeted(&no, radius, budget.after(&usage));
+        usage.absorb(&spent);
+        if usage.exhausted {
+            return CellOutcome::new("exhausted", true).with_budget(usage);
+        }
+        let (forward, backward) = (
+            code_coverage(&no_codes, &yes_codes),
+            code_coverage(&yes_codes, &no_codes),
+        );
         let merged = forward == 1.0 && backward == 1.0;
         let verdict = if merged {
             "indistinguishable"

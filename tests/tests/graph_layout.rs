@@ -139,7 +139,12 @@ fn edge_digest(graphs: &[Graph]) -> u64 {
 
 #[test]
 fn deterministic_generators_match_their_definitions() {
-    for n in 0..12 {
+    // Every size below 12, then sampled sizes up to 2048 (the promise
+    // cycles of the XL sweep reach that far); `complete` stops at 64.
+    let sampled = [
+        12, 13, 31, 64, 100, 255, 256, 257, 1000, 1023, 1024, 2047, 2048,
+    ];
+    for n in (0..12).chain(sampled) {
         let path = model_of((1..n).map(|i| (i - 1, i)));
         assert_layout(&generators::path(n), n, &path);
         let mut cycle = path.clone();
@@ -147,11 +152,18 @@ fn deterministic_generators_match_their_definitions() {
             cycle.insert((0, n - 1));
         }
         assert_layout(&generators::cycle(n), n, &cycle);
-        assert_layout(
-            &generators::complete(n),
-            n,
-            &model_of((0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)))),
-        );
+        // `path` and `cycle` write their CSR arrays directly; the layout
+        // must equal the general edge-list build's.
+        for (built, edges) in [(generators::path(n), &path), (generators::cycle(n), &cycle)] {
+            assert_eq!(built, Graph::from_edges(n, edges.iter().copied()).unwrap());
+        }
+        if n <= 64 {
+            assert_layout(
+                &generators::complete(n),
+                n,
+                &model_of((0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)))),
+            );
+        }
         assert_layout(
             &generators::star(n),
             n + 1,

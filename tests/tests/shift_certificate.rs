@@ -5,7 +5,7 @@
 //! earlier search certifies it: if every member `u` of `B(v, t)` starts a
 //! run of at least `K` shift-equal nodes (same label as `u + 1`, and
 //! `u + 1`'s neighbour row is `u`'s plus one), the next `K` centres are
-//! translates of `v` and are charged `|B(v, t)|` without a search.  Two
+//! translates of `v` and are charged `|B(v, t)|` without a search.  Three
 //! properties make that invisible:
 //!
 //! - **Enumeration.** Views, their order and [`BudgetUsage`] equal those
@@ -13,12 +13,17 @@
 //!   under every view cap from 0 up to the full spend, and under every node
 //!   cap from 0 up to the full spend (on larger graphs, one cap on each
 //!   side of every point where the outcome changes).
+//! - **Profile.** The radius profile `0..=t`
+//!   (`distinct_views_by_radius_cached`) equals a loop that extracts every
+//!   centre at every radius in turn, under the same budgets; one certified
+//!   run covers all of a centre's radii.
 //! - **Lemma.** For every certified pair `(v, v + j)`, the exact layout
 //!   keys of the two balls are equal.
 //!
 //! The graphs are the shared adversarial families of
-//! `ld_tests::strategies`, plus circulants, tori, periodic labellings and
-//! the short cycles and paths of `3..=2t+3` nodes where balls wrap.
+//! `ld_tests::strategies`, plus circulants, tori, periodic labellings, the
+//! short cycles and paths of `3..=2t+3` nodes where balls wrap, and cycles
+//! of promise-cell size.
 
 use ld_tests::strategies::{build_case, COLOUR_MODES, FAMILY_COUNT};
 use local_decision::graph::BallExtractor;
@@ -56,16 +61,18 @@ fn per_centre(labeled: &LabeledGraph<u8>, radius: usize) -> Vec<Centre> {
         .collect()
 }
 
-/// The reference enumeration under `budget`: every centre is charged its
-/// ball size, a new layout is charged one view, and the first centre that
-/// does not fit stops the walk.
-fn reference(
-    centres: &[Centre],
+/// The reference enumeration under `budget`, over `steps` in order: each
+/// step is a centre's ball at the radius of its layer.  Every step is
+/// charged its ball size, a new layout is charged one view, and the first
+/// step that does not fit stops the walk.
+fn reference<'a>(
+    steps: impl IntoIterator<Item = (usize, &'a Centre)>,
+    layers: usize,
     budget: EnumerationBudget,
-) -> (Vec<ObliviousView<u8>>, BudgetUsage) {
+) -> (Vec<Vec<ObliviousView<u8>>>, BudgetUsage) {
     let mut usage = BudgetUsage::default();
-    let mut result = Vec::new();
-    for centre in centres {
+    let mut result = vec![Vec::new(); layers];
+    for (layer, centre) in steps {
         let size = centre.view.node_count() as u64;
         if size > budget.max_nodes - usage.nodes_visited {
             usage.exhausted = true;
@@ -81,10 +88,34 @@ fn reference(
         }
         usage.views_materialized += 1;
         if centre.new_view {
-            result.push(centre.view.clone());
+            result[layer].push(centre.view.clone());
         }
     }
     (result, usage)
+}
+
+/// The reference at one radius: every centre in order.
+fn reference_at(
+    centres: &[Centre],
+    budget: EnumerationBudget,
+) -> (Vec<ObliviousView<u8>>, BudgetUsage) {
+    let (mut views, usage) = reference(centres.iter().map(|c| (0, c)), 1, budget);
+    (views.pop().unwrap(), usage)
+}
+
+/// The steps of the radius profile `0..=t`, `by_radius[r]` holding every
+/// centre at radius `r`: centre by centre, each at every radius in order.
+fn profile_steps(by_radius: &[Vec<Centre>]) -> impl Iterator<Item = (usize, &Centre)> {
+    let n = by_radius[0].len();
+    (0..n).flat_map(move |v| by_radius.iter().enumerate().map(move |(r, c)| (r, &c[v])))
+}
+
+/// The reference radius profile: [`reference`] over [`profile_steps`].
+fn profile_reference(
+    by_radius: &[Vec<Centre>],
+    budget: EnumerationBudget,
+) -> (Vec<Vec<ObliviousView<u8>>>, BudgetUsage) {
+    reference(profile_steps(by_radius), by_radius.len(), budget)
 }
 
 /// `runs[x]`, restated from the definition: the number of consecutive
@@ -127,8 +158,15 @@ fn exact_key(
 /// `K = min runs[u]` over `B(v, t)` are certified.
 fn check_lemma(labeled: &LabeledGraph<u8>, radius: usize, what: &str) -> usize {
     let runs = shift_runs(labeled);
-    let mut extractor = BallExtractor::new();
     let n = labeled.node_count();
+    // `Graph::shift_breaks` lists exactly the nodes that start no run.
+    let label = |x: usize| labeled.label(NodeId::from(x));
+    assert_eq!(
+        labeled.graph().shift_breaks(|x| label(x) == label(x + 1)),
+        (0..n).filter(|&x| runs[x] == 0).collect::<Vec<_>>(),
+        "{what}: shift breaks"
+    );
+    let mut extractor = BallExtractor::new();
     let (mut v, mut searched) = (0, 0);
     while v < n {
         let key = exact_key(&mut extractor, labeled, v, radius);
@@ -152,17 +190,18 @@ fn check_lemma(labeled: &LabeledGraph<u8>, radius: usize, what: &str) -> usize {
     searched
 }
 
-/// Node caps to try against a reference whose full run spends `full`.
-/// The reference's outcome changes only where the cap crosses the running
-/// charge `S_k` after some centre `k`, so the caps `S_k - 1` and `S_k` (and
-/// 0) reach every outcome; small runs try every cap outright.
-fn node_caps(centres: &[Centre], full: u64) -> Vec<u64> {
+/// Node caps to try against a reference whose full run spends `full`,
+/// walking `steps` in order.  The reference's outcome changes only where
+/// the cap crosses the running charge `S_k` after some step `k`, so the
+/// caps `S_k - 1` and `S_k` (and 0) reach every outcome, inside certified
+/// runs too; small runs try every cap outright.
+fn node_caps<'a>(steps: impl IntoIterator<Item = &'a Centre>, full: u64) -> Vec<u64> {
     if full <= 64 {
         return (0..=full).collect();
     }
     let mut caps = vec![0];
     let mut spent = 0;
-    for centre in centres {
+    for centre in steps {
         spent += centre.view.node_count() as u64;
         caps.extend([spent - 1, spent]);
     }
@@ -173,7 +212,7 @@ fn node_caps(centres: &[Centre], full: u64) -> Vec<u64> {
 fn check_enumeration(labeled: &LabeledGraph<u8>, radius: usize, what: &str) {
     let cache = ViewCache::new();
     let centres = per_centre(labeled, radius);
-    let (full, full_usage) = reference(&centres, EnumerationBudget::UNLIMITED);
+    let (full, full_usage) = reference_at(&centres, EnumerationBudget::UNLIMITED);
     assert!(!full_usage.exhausted);
     assert_eq!(
         enumeration::distinct_oblivious_views_of(labeled, radius),
@@ -210,8 +249,42 @@ fn check_enumeration(labeled: &LabeledGraph<u8>, radius: usize, what: &str) {
             enumeration::distinct_oblivious_views_of_budgeted_cached(
                 labeled, radius, &cache, budget,
             ),
-            reference(&centres, budget),
+            reference_at(&centres, budget),
             "{what}, radius {radius}, {budget:?}"
+        );
+    }
+}
+
+/// The radius profile `0..=max_radius` against its reference: under an
+/// unlimited budget, every view cap, and a node cap on each side of every
+/// (centre, radius) charge.
+fn check_profile(labeled: &LabeledGraph<u8>, max_radius: usize, what: &str) {
+    let cache = ViewCache::new();
+    let by_radius: Vec<Vec<Centre>> = (0..=max_radius)
+        .map(|radius| per_centre(labeled, radius))
+        .collect();
+    let (full, full_usage) = profile_reference(&by_radius, EnumerationBudget::UNLIMITED);
+    assert!(!full_usage.exhausted);
+    for (radius, views) in full.iter().enumerate() {
+        assert_eq!(
+            views,
+            &enumeration::distinct_oblivious_views_of(labeled, radius),
+            "{what}: the reference profile at radius {radius}"
+        );
+    }
+    let steps = profile_steps(&by_radius).map(|(_, centre)| centre);
+    let budgets = std::iter::once(EnumerationBudget::UNLIMITED)
+        .chain(
+            node_caps(steps, full_usage.nodes_visited)
+                .into_iter()
+                .map(EnumerationBudget::nodes),
+        )
+        .chain((0..=full_usage.views_materialized).map(EnumerationBudget::views));
+    for budget in budgets {
+        assert_eq!(
+            enumeration::distinct_views_by_radius_cached(labeled, max_radius, &cache, budget),
+            profile_reference(&by_radius, budget),
+            "{what}, profile 0..={max_radius}, {budget:?}"
         );
     }
 }
@@ -221,6 +294,7 @@ fn check(labeled: &LabeledGraph<u8>, what: &str) {
         check_lemma(labeled, radius, what);
         check_enumeration(labeled, radius, what);
     }
+    check_profile(labeled, MAX_RADIUS, what);
 }
 
 #[test]
@@ -301,6 +375,7 @@ fn short_cycles_and_paths_match_the_per_centre_reference() {
                 let what = format!("{name}({n})");
                 assert_eq!(check_lemma(&labeled, t, &what), n, "{what}, radius {t}");
                 check_enumeration(&labeled, t, &what);
+                check_profile(&labeled, t, &what);
             }
         }
     }
@@ -323,9 +398,24 @@ fn long_cycles_and_paths_need_2t_plus_3_searches() {
                 );
                 if n <= 40 {
                     check_enumeration(&labeled, t, &what);
+                    check_profile(&labeled, t, &what);
                 }
             }
         }
+    }
+}
+
+#[test]
+fn promise_size_cycles_match_the_per_centre_reference() {
+    // A promise cell compares an r-cycle with an f(r)-cycle; r = 170
+    // against 510 is one of the swept pairs.  Each needs 2t + 3 searches,
+    // so almost every node cap lands inside a certified run.
+    for n in [170, 510] {
+        let labeled = LabeledGraph::uniform(generators::cycle(n), 0u8);
+        let what = format!("cycle({n})");
+        assert_eq!(check_lemma(&labeled, MAX_RADIUS, &what), 2 * MAX_RADIUS + 3);
+        check_enumeration(&labeled, MAX_RADIUS, &what);
+        check_profile(&labeled, MAX_RADIUS, &what);
     }
 }
 

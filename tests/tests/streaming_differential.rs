@@ -323,6 +323,41 @@ fn section2_sweep_xl_matches_the_pinned_digest() {
     }
 }
 
+/// FNV-1a 64 digest of the deterministic `section2-sweep-xl --max-n 512
+/// --node-budget 3000` report (106 574 bytes): 75 of its 204 cells exhaust
+/// the node cap, many of them inside a run of shift-certified centres, so
+/// the exact exhaustion points of the enumeration are pinned here.
+const SECTION2_XL_512_NODE_3000_DIGEST: u64 = 0x1ea0_7633_48a9_75f7;
+
+#[test]
+fn section2_sweep_xl_under_an_exhausting_node_budget_matches_the_pinned_digest() {
+    let scenario = scenarios::find("section2-sweep-xl").unwrap();
+    for threads in [1, 2] {
+        let config = SweepConfig {
+            max_n: 512,
+            threads,
+            node_budget: Some(3_000),
+            ..SweepConfig::default()
+        };
+        let path = temp_path(&format!("section2-xl-node-3000-t{threads}"));
+        let summary = stream::run(scenario.as_ref(), &config, &path, &DETERMINISTIC).unwrap();
+        assert!(summary.completed);
+        assert_eq!(summary.failed, 0, "failed cells at {threads} threads");
+        assert_eq!(
+            summary.exhausted, 75,
+            "exhausted cells at {threads} threads"
+        );
+        let streamed = std::fs::read(&path).unwrap();
+        cleanup(&path);
+        assert_eq!(streamed.len(), 106_574, "report size at {threads} threads");
+        assert_eq!(
+            stream::fnv1a(stream::FNV_OFFSET, &streamed),
+            SECTION2_XL_512_NODE_3000_DIGEST,
+            "section2-sweep-xl --node-budget 3000 at {threads} threads diverges from the pinned digest"
+        );
+    }
+}
+
 /// `(scenario, max_n, report bytes, FNV-1a 64 digest)` of the deterministic
 /// reports of the scenarios whose cells run decision loops (`run_local`,
 /// `run_oblivious`, `run_randomized`) and have no committed fixture.  A
